@@ -5,8 +5,9 @@ cooperating daemon processes ... all Khazana nodes are peers"
 (paper Section 2).  Each peer is built from four cohesive services
 composed by this kernel:
 
-- :class:`~repro.core.location.LocationService` — the region-location
-  chain of Section 3.2,
+- the :class:`~repro.core.placement.base.PlacementStrategy` that
+  ``DaemonConfig.placement`` selects — region location (the tiered
+  chain of Section 3.2, or a hash ring),
 - :class:`~repro.core.space.SpaceService` — address-space and region
   lifecycle (reserve/allocate/resize/migrate, pool refill, Section 3.1),
 - :class:`~repro.core.dataplane.DataPlane` — lock/read/write, lock

@@ -18,7 +18,7 @@ message runs through a small middleware stack before its handler:
 
 The chain is a plain list (:attr:`MessageRouter.interceptors`); tests
 insert recorders to observe ordering.  Handlers come from the node
-services (LocationService, SpaceService, the cluster-manager role) or
+services (placement, SpaceService, the cluster-manager role) or
 from :meth:`MessageRouter.cm_dispatch`, which routes a consistency
 message to the owning region's CM exactly as the paper's Section 3.3
 plug-in model requires.

@@ -1,14 +1,10 @@
-"""Struct-packed binary wire codec for hot message types.
+"""Struct-packed binary wire codec: the one encoding of every message.
 
-The original size model charged every envelope a rough
-:data:`~repro.net.message.ENVELOPE_BYTES` plus a per-value guess.  The
-data-path messages — page fetch/push, token traffic, and their batch
-variants — dominate simulated bandwidth, so those types now have a
-real binary encoding: a fixed little-endian header plus a tagged,
-varint-delimited payload.  ``Message.size_bytes`` reports the *exact*
-encoded length for registered types (installed as a hook by
-:func:`install`; see :mod:`repro.net.sim`) and falls back to the old
-object estimate for cold control-plane types.
+Every :class:`~repro.net.message.MessageType` travels as a fixed
+little-endian header plus a tagged, varint-delimited payload.  The
+length-prefixed stream frame (:mod:`repro.net.frame`) wraps exactly
+this body, and ``Message.size_bytes`` is that frame's length, on the
+simulator and over TCP alike.
 
 Wire layout (documented for docs/performance.md):
 
@@ -19,51 +15,73 @@ Wire layout (documented for docs/performance.md):
 ``payload``
     varint field count, then per field: varint-length key (UTF-8) and
     a tagged value.  Tags: ``0`` None, ``1`` False, ``2`` True,
-    ``3`` int (zigzag varint, arbitrary precision — global addresses
-    are 128-bit), ``4`` float (8-byte IEEE double), ``5`` bytes
-    (varint length + raw; ``bytearray``/``memoryview`` payloads encode
-    identically and decode as ``bytes``), ``6`` str (varint length +
-    UTF-8), ``7`` list and ``8`` tuple (varint count + items — the
-    distinction matters: diff runs are tuples, batch items are lists),
-    ``9`` dict (varint count + key/value pairs, string keys only).
+    ``3`` int (zigzag varint, arbitrary precision up to
+    :data:`MAX_INT_BITS` — global addresses are 128-bit), ``4`` float
+    (8-byte IEEE double), ``5`` bytes (varint length + raw;
+    ``bytearray``/``memoryview`` payloads encode identically and
+    decode as ``bytes``), ``6`` str (varint length + UTF-8), ``7``
+    list and ``8`` tuple (varint count + items — the distinction
+    matters: diff runs are tuples, batch items are lists), ``9`` dict
+    with str keys (varint count + varint-length UTF-8 key/value
+    pairs), ``10`` dict with int keys (varint count + zigzag-varint
+    key/value pairs).  An empty dict is tag ``9``.
 
-Unsupported payload values (arbitrary objects) make ``encode`` and
-``encoded_size`` return None, deferring to the object estimator — the
-codec never guesses.
+There is no fallback: a payload value outside that vocabulary (an
+arbitrary object, a dict mixing key types, nesting deeper than
+:data:`MAX_DEPTH`) raises :class:`Unencodable` when the message is
+sized or encoded — that is, at send time on either backend.  Malformed
+input raises :class:`FrameError` and nothing else.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.net.message import Message, MessageType, set_size_codec
+from repro.net.message import Message, MessageType
 
 _MAGIC = 0xC5
 
 _HEADER = struct.Struct("<BBiiqqq")
 _DOUBLE = struct.Struct("<d")
 
-#: Stable wire ids for the hot (data-path) message types.  Cold
-#: control-plane types intentionally stay on the object encoding.
+#: Deepest container nesting below the payload dict that encodes.
+#: Bounds the decoder's recursion on hostile input.
+MAX_DEPTH = 32
+
+#: Widest zigzagged int that encodes.  Bounds varint decoding work.
+MAX_INT_BITS = 448
+
+#: The data-path types keep the wire ids 1-17 they were first given,
+#: so their frames stay byte-identical; the rest follow in enum order.
+_DATA_PATH_TYPES = (
+    MessageType.PAGE_FETCH,
+    MessageType.PAGE_DATA,
+    MessageType.LOCK_REQUEST,
+    MessageType.LOCK_REPLY,
+    MessageType.UPDATE_PUSH,
+    MessageType.UPDATE_ACK,
+    MessageType.INVALIDATE,
+    MessageType.INVALIDATE_ACK,
+    MessageType.SHARER_REGISTER,
+    MessageType.SHARER_UNREGISTER,
+    MessageType.PAGE_FETCH_BATCH,
+    MessageType.PAGE_DATA_BATCH,
+    MessageType.TOKEN_ACQUIRE_BATCH,
+    MessageType.TOKEN_GRANT_BATCH,
+    MessageType.UPDATE_PUSH_BATCH,
+    MessageType.UPDATE_ACK_BATCH,
+    MessageType.ERROR,
+)
+
+#: Wire id of every message type, derived from the enum so none is
+#: missing.  Both ends of a connection must run the same vocabulary.
 WIRE_IDS: Dict[MessageType, int] = {
-    MessageType.PAGE_FETCH: 1,
-    MessageType.PAGE_DATA: 2,
-    MessageType.LOCK_REQUEST: 3,
-    MessageType.LOCK_REPLY: 4,
-    MessageType.UPDATE_PUSH: 5,
-    MessageType.UPDATE_ACK: 6,
-    MessageType.INVALIDATE: 7,
-    MessageType.INVALIDATE_ACK: 8,
-    MessageType.SHARER_REGISTER: 9,
-    MessageType.SHARER_UNREGISTER: 10,
-    MessageType.PAGE_FETCH_BATCH: 11,
-    MessageType.PAGE_DATA_BATCH: 12,
-    MessageType.TOKEN_ACQUIRE_BATCH: 13,
-    MessageType.TOKEN_GRANT_BATCH: 14,
-    MessageType.UPDATE_PUSH_BATCH: 15,
-    MessageType.UPDATE_ACK_BATCH: 16,
-    MessageType.ERROR: 17,
+    msg_type: wire_id for wire_id, msg_type in enumerate(
+        _DATA_PATH_TYPES
+        + tuple(t for t in MessageType if t not in _DATA_PATH_TYPES),
+        start=1,
+    )
 }
 
 _TYPE_BY_ID: Dict[int, MessageType] = {
@@ -81,10 +99,15 @@ _T_STR = 6
 _T_LIST = 7
 _T_TUPLE = 8
 _T_DICT = 9
+_T_INT_DICT = 10
 
 
-class Unencodable(Exception):
-    """Raised internally for payload values the codec does not cover."""
+class Unencodable(TypeError):
+    """A payload value lies outside the wire vocabulary."""
+
+
+class FrameError(ValueError):
+    """A frame body is malformed: truncated, garbage or too deep."""
 
 
 # --- varints ---------------------------------------------------------------
@@ -119,11 +142,18 @@ def _read_varint(data: memoryview, pos: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+        if shift >= MAX_INT_BITS:
+            # Bounded so a garbage run of continuation bytes costs
+            # linear time, not a quadratic bignum build.
+            raise FrameError("varint longer than the int bound")
 
 
 def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 \
+    raw = (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 \
         else value << 1
+    if raw >> MAX_INT_BITS:
+        raise Unencodable(f"int wider than {MAX_INT_BITS} bits")
+    return raw
 
 
 def _unzigzag(value: int) -> int:
@@ -132,7 +162,22 @@ def _unzigzag(value: int) -> int:
 
 # --- value encoding --------------------------------------------------------
 
-def _encode_value(out: bytearray, value: Any) -> None:
+def _key_type(mapping: Dict[Any, Any]) -> type:
+    """The key type a dict encodes with: its first key's (str for the
+    empty dict).  Every other key must match it."""
+    for key in mapping:
+        key_type = type(key)
+        if key_type is not str and key_type is not int:
+            raise Unencodable(f"dict key of type {key_type.__name__}")
+        return key_type
+    return str
+
+
+def _mixed_key(key: Any) -> Unencodable:
+    return Unencodable(f"dict mixes key types at {key!r}")
+
+
+def _encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
     if value is None:
         out.append(_T_NONE)
     elif value is False:
@@ -154,31 +199,32 @@ def _encode_value(out: bytearray, value: Any) -> None:
         out.append(_T_STR)
         _write_varint(out, len(raw))
         out += raw
-    elif type(value) is list:
-        out.append(_T_LIST)
+    elif depth >= MAX_DEPTH:
+        raise Unencodable(f"nesting deeper than {MAX_DEPTH}")
+    elif type(value) is list or type(value) is tuple:
+        out.append(_T_LIST if type(value) is list else _T_TUPLE)
         _write_varint(out, len(value))
         for item in value:
-            _encode_value(out, item)
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_value(out, item)
+            _encode_value(out, item, depth + 1)
     elif type(value) is dict:
-        out.append(_T_DICT)
+        key_type = _key_type(value)
+        out.append(_T_DICT if key_type is str else _T_INT_DICT)
         _write_varint(out, len(value))
         for key, item in value.items():
-            if type(key) is not str:
-                raise Unencodable(f"non-str dict key {key!r}")
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-            _encode_value(out, item)
+            if type(key) is not key_type:
+                raise _mixed_key(key)
+            if key_type is str:
+                raw = key.encode("utf-8")
+                _write_varint(out, len(raw))
+                out += raw
+            else:
+                _write_varint(out, _zigzag(key))
+            _encode_value(out, item, depth + 1)
     else:
         raise Unencodable(f"value of type {type(value).__name__}")
 
 
-def _value_size(value: Any) -> int:
+def _value_size(value: Any, depth: int = 0) -> int:
     """Exact encoded size of one value, without building the bytes.
 
     Mirrors :func:`_encode_value` case by case; the codec property
@@ -196,23 +242,31 @@ def _value_size(value: Any) -> int:
     if type(value) is str:
         n = len(value.encode("utf-8"))
         return 1 + _varint_size(n) + n
+    if depth >= MAX_DEPTH:
+        raise Unencodable(f"nesting deeper than {MAX_DEPTH}")
     if type(value) is list or type(value) is tuple:
         size = 1 + _varint_size(len(value))
         for item in value:
-            size += _value_size(item)
+            size += _value_size(item, depth + 1)
         return size
     if type(value) is dict:
+        key_type = _key_type(value)
         size = 1 + _varint_size(len(value))
         for key, item in value.items():
-            if type(key) is not str:
-                raise Unencodable(f"non-str dict key {key!r}")
-            n = len(key.encode("utf-8"))
-            size += _varint_size(n) + n + _value_size(item)
+            if type(key) is not key_type:
+                raise _mixed_key(key)
+            if key_type is str:
+                n = len(key.encode("utf-8"))
+                size += _varint_size(n) + n
+            else:
+                size += _varint_size(_zigzag(key))
+            size += _value_size(item, depth + 1)
         return size
     raise Unencodable(f"value of type {type(value).__name__}")
 
 
-def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
+def _decode_value(data: memoryview, pos: int,
+                  depth: int = 0) -> Tuple[Any, int]:
     tag = data[pos]
     pos += 1
     if tag == _T_NONE:
@@ -232,41 +286,39 @@ def _decode_value(data: memoryview, pos: int) -> Tuple[Any, int]:
     if tag == _T_STR:
         n, pos = _read_varint(data, pos)
         return str(data[pos : pos + n], "utf-8"), pos + n
+    if tag > _T_INT_DICT:
+        raise FrameError(f"unknown value tag {tag}")
+    if depth >= MAX_DEPTH:
+        raise FrameError(f"nesting deeper than {MAX_DEPTH}")
+    count, pos = _read_varint(data, pos)
     if tag == _T_LIST or tag == _T_TUPLE:
-        count, pos = _read_varint(data, pos)
         items: List[Any] = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos)
+            item, pos = _decode_value(data, pos, depth + 1)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        count, pos = _read_varint(data, pos)
-        mapping: Dict[str, Any] = {}
-        for _ in range(count):
+    mapping: Dict[Any, Any] = {}
+    for _ in range(count):
+        if tag == _T_DICT:
             n, pos = _read_varint(data, pos)
-            key = str(data[pos : pos + n], "utf-8")
+            key: Any = str(data[pos : pos + n], "utf-8")
             pos += n
-            mapping[key], pos = _decode_value(data, pos)
-        return mapping, pos
-    raise ValueError(f"unknown value tag {tag}")
+        else:
+            raw, pos = _read_varint(data, pos)
+            key = _unzigzag(raw)
+        mapping[key], pos = _decode_value(data, pos, depth + 1)
+    return mapping, pos
 
 
 # --- message encoding ------------------------------------------------------
 
-def encode(message: Message) -> Optional[bytes]:
-    """Binary encoding of a hot-type message, or None to fall back.
-
-    None means either the type is not registered or the payload holds
-    a value outside the wire vocabulary (e.g. a descriptor object);
-    such messages keep the object encoding and estimated size.
-    """
-    wire_id = WIRE_IDS.get(message.msg_type)
-    if wire_id is None:
-        return None
+def encode(message: Message) -> bytes:
+    """Binary encoding of ``message``; raises :class:`Unencodable` if
+    its payload holds a value outside the wire vocabulary."""
     out = bytearray(
         _HEADER.pack(
             _MAGIC,
-            wire_id,
+            WIRE_IDS[message.msg_type],
             message.src,
             message.dst,
             message.msg_id,
@@ -276,30 +328,37 @@ def encode(message: Message) -> Optional[bytes]:
     )
     payload = message.payload
     _write_varint(out, len(payload))
-    try:
-        for key, value in payload.items():
-            if type(key) is not str:
-                return None
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-            _encode_value(out, value)
-    except Unencodable:
-        return None
+    for key, value in payload.items():
+        if type(key) is not str:
+            raise Unencodable(f"payload key {key!r} is not a str")
+        raw = key.encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+        _encode_value(out, value)
     return bytes(out)
 
 
 def decode(data: bytes) -> Message:
-    """Inverse of :func:`encode`; raises ValueError on malformed input."""
+    """Inverse of :func:`encode`; raises :class:`FrameError`, and only
+    that, on malformed input."""
+    try:
+        return _decode(memoryview(data))
+    except FrameError:
+        raise
+    except (IndexError, struct.error, UnicodeDecodeError) as exc:
+        # Reads past the end surface as IndexError/struct.error.
+        raise FrameError(f"truncated or garbled body: {exc}") from exc
+
+
+def _decode(view: memoryview) -> Message:
     magic, wire_id, src, dst, msg_id, request_id, reply_to = (
-        _HEADER.unpack_from(data, 0)
+        _HEADER.unpack_from(view, 0)
     )
     if magic != _MAGIC:
-        raise ValueError(f"bad magic byte {magic:#x}")
+        raise FrameError(f"bad magic byte {magic:#x}")
     msg_type = _TYPE_BY_ID.get(wire_id)
     if msg_type is None:
-        raise ValueError(f"unknown wire type id {wire_id}")
-    view = memoryview(data)
+        raise FrameError(f"unknown wire type id {wire_id}")
     pos = _HEADER.size
     count, pos = _read_varint(view, pos)
     payload: Dict[str, Any] = {}
@@ -308,8 +367,12 @@ def decode(data: bytes) -> Message:
         key = str(view[pos : pos + n], "utf-8")
         pos += n
         payload[key], pos = _decode_value(view, pos)
-    if pos != len(data):
-        raise ValueError(f"{len(data) - pos} trailing bytes after payload")
+    if pos != len(view):
+        # Slices past the end come back short, so an overrun shows
+        # here as pos > len rather than as an IndexError.
+        raise FrameError(
+            f"payload ends at byte {pos} of a {len(view)}-byte body"
+        )
     return Message(
         msg_type=msg_type,
         src=src,
@@ -321,34 +384,19 @@ def decode(data: bytes) -> Message:
     )
 
 
-def encoded_size(message: Message) -> Optional[int]:
-    """Exact wire size of a hot-type message without encoding it.
+def encoded_size(message: Message) -> int:
+    """Exact body size of ``message`` without encoding it.
 
-    The simulated network asks for a size on *every* send, so this is
-    arithmetic over the payload rather than a throwaway encode; the
-    property tests hold it bit-for-bit equal to ``len(encode(msg))``.
-    Returns None (object-estimate fallback) exactly when ``encode``
-    would.
+    The simulated network sizes *every* send, so this is arithmetic
+    over the payload rather than a throwaway encode; the property
+    tests hold it bit-for-bit equal to ``len(encode(msg))``.  Raises
+    :class:`Unencodable` exactly when ``encode`` would.
     """
-    if message.msg_type not in WIRE_IDS:
-        return None
     payload = message.payload
     size = _HEADER.size + _varint_size(len(payload))
-    try:
-        for key, value in payload.items():
-            if type(key) is not str:
-                return None
-            n = len(key.encode("utf-8"))
-            size += _varint_size(n) + n + _value_size(value)
-    except Unencodable:
-        return None
+    for key, value in payload.items():
+        if type(key) is not str:
+            raise Unencodable(f"payload key {key!r} is not a str")
+        n = len(key.encode("utf-8"))
+        size += _varint_size(n) + n + _value_size(value)
     return size
-
-
-def install() -> None:
-    """Register :func:`encoded_size` as the Message size hook.
-
-    Called by :mod:`repro.net.sim` at import; keeps the dependency
-    one-way (codec imports message, never the reverse).
-    """
-    set_size_codec(encoded_size)

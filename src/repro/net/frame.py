@@ -4,150 +4,48 @@ One frame on the wire is::
 
     <u32 little-endian body length> <body>
 
-where the body is either
-
-- the PR-6 binary codec encoding (first byte is the codec magic
-  ``0xC5``) for the 17 hot message types, or
-- a tagged pickle (first byte ``0x50``, then ``pickle.dumps`` of the
-  envelope tuple) for cold message types and for hot-type payloads the
-  codec cannot express.  The tag bytes are disjoint, so the decoder
-  dispatches on the body's first byte.
-
-Pickle is acceptable here because frames only ever arrive from peer
-daemons of the same deployment on localhost/trusted links — the same
-trust domain as the shared address space itself.
-
-This module is also the satellite fix for ``Message.size_bytes`` over
-TCP: :func:`frame_size` is the *actual* number of bytes a message
-occupies on a stream (prefix included), for cold types included, and
-:func:`install_exact_sizes` swaps it in as the message-size hook for
-as long as a TCP transport is alive, so tap-reported sizes match
-socket-measured bytes exactly.
+where the body is the :mod:`repro.net.codec` encoding of the message.
+:func:`frame_size` is the exact number of bytes that frame occupies,
+and it is what ``Message.size_bytes`` reports on every backend, so
+simulated traffic accounting equals bytes on a socket.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
-from typing import Any, Optional
 
-from repro.net import codec
-from repro.net.message import Message, MessageType, set_size_codec
+from repro.net.codec import FrameError, decode, encode, encoded_size
+from repro.net.message import Message
+
+__all__ = [
+    "FrameError",
+    "LENGTH_PREFIX",
+    "MAX_FRAME_BYTES",
+    "decode_body",
+    "encode_frame",
+    "frame_size",
+]
 
 #: Frame length prefix: one unsigned 32-bit little-endian integer.
 LENGTH_PREFIX = struct.Struct("<I")
-
-#: First body byte of a pickled (non-codec) envelope.
-PICKLE_TAG = 0x50
 
 #: Upper bound on one frame body; a prefix above this is treated as a
 #: corrupt stream rather than an allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
-def _picklable(value: Any) -> Any:
-    """Deep-copy container payloads, normalising buffer views.
-
-    The zero-copy dataplane ships page bytes as ``memoryview`` slices
-    over frozen buffers; those views pickle as plain ``bytes`` here so
-    the receiving process gets an ordinary immutable buffer.
-    """
-    if isinstance(value, (memoryview, bytearray)):
-        return bytes(value)
-    if isinstance(value, dict):
-        return {key: _picklable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        converted = [_picklable(item) for item in value]
-        return type(value)(converted) if isinstance(value, tuple) \
-            else converted
-    return value
-
-
-def _pickle_body(message: Message) -> bytes:
-    envelope = (
-        message.msg_type.value,
-        message.src,
-        message.dst,
-        _picklable(message.payload),
-        message.request_id,
-        message.reply_to,
-        message.msg_id,
-    )
-    return bytes([PICKLE_TAG]) + pickle.dumps(envelope, protocol=4)
-
-
 def encode_frame(message: Message) -> bytes:
     """One message as a complete frame (length prefix + body)."""
-    body = codec.encode(message)
-    if body is None:
-        body = _pickle_body(message)
+    body = encode(message)
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
 def decode_body(body: bytes) -> Message:
-    """Inverse of the body part of :func:`encode_frame`."""
-    if not body:
-        raise ValueError("empty frame body")
-    if body[0] == PICKLE_TAG:
-        msg_type, src, dst, payload, request_id, reply_to, msg_id = (
-            pickle.loads(body[1:])
-        )
-        return Message(
-            msg_type=MessageType(msg_type),
-            src=src,
-            dst=dst,
-            payload=payload,
-            request_id=request_id,
-            reply_to=reply_to,
-            msg_id=msg_id,
-        )
-    return codec.decode(body)
+    """Inverse of the body part of :func:`encode_frame`; raises
+    :class:`FrameError`, and only that, on a malformed body."""
+    return decode(body)
 
 
 def frame_size(message: Message) -> int:
-    """Exact on-the-wire size of ``message`` as one stream frame.
-
-    Hot types use the codec's arithmetic size; cold types pay for the
-    actual pickle (they are rare control traffic, so the throwaway
-    encode is cheap where it matters not at all).
-    """
-    body_size = codec.encoded_size(message)
-    if body_size is None:
-        body_size = len(_pickle_body(message))
-    return LENGTH_PREFIX.size + body_size
-
-
-# --- Message.size_bytes integration ----------------------------------------
-#
-# While any TCP transport is alive, every Message.size_bytes() call in
-# the process answers with the true frame size.  Reference-counted so
-# several transports in one process (the in-process benchmark builds
-# one per daemon) install once and the original hook — the codec-only
-# sizer the simulator uses — comes back when the last one closes.
-
-_installs = 0
-_previous = None
-
-
-def _hook(message: Message) -> Optional[int]:
-    return frame_size(message)
-
-
-def install_exact_sizes() -> None:
-    """Make ``Message.size_bytes`` report exact frame sizes."""
-    global _installs, _previous
-    if _installs == 0:
-        _previous = set_size_codec(_hook)
-    _installs += 1
-
-
-def uninstall_exact_sizes() -> None:
-    """Undo one :func:`install_exact_sizes`; restores the prior hook
-    when the last installer has gone."""
-    global _installs, _previous
-    if _installs == 0:
-        return
-    _installs -= 1
-    if _installs == 0:
-        set_size_codec(_previous)
-        _previous = None
+    """Exact on-the-wire size of ``message`` as one stream frame."""
+    return LENGTH_PREFIX.size + encoded_size(message)

@@ -49,7 +49,6 @@ class MessageType(str, enum.Enum):
     PAGE_DATA = "page_data"
     INVALIDATE = "invalidate"                # CREW: revoke cached copies
     INVALIDATE_ACK = "invalidate_ack"
-    OWNER_TRANSFER = "owner_transfer"        # khz: allow-unhandled-message(reserved for explicit owner handoff; CREW currently transfers ownership inside LOCK_REPLY)
     UPDATE_PUSH = "update_push"              # release/eventual: propagate writes
     UPDATE_ACK = "update_ack"
     SHARER_REGISTER = "sharer_register"      # tell home node we cache a page
@@ -116,58 +115,14 @@ REPLY_TYPES = frozenset(
     }
 )
 
-# Fixed per-message envelope overhead used for traffic accounting, in
-# bytes.  Roughly a UDP/IP header plus Khazana's own message header.
-ENVELOPE_BYTES = 64
-
-#: Optional exact-size hook installed by :mod:`repro.net.codec` (via
-#: :mod:`repro.net.sim`).  Kept as a late-bound callable so this module
-#: never imports the codec — the dependency stays one-way.
-_size_codec = None
-
-
-def set_size_codec(codec):
-    """Install ``codec(message) -> Optional[int]`` as the size source.
-
-    The hook returns the exact binary wire size for message types it
-    covers and None for the rest, which keep the estimate below.
-    Returns the previously installed hook (None if there was none) so
-    a caller that swaps the hook temporarily — the TCP transport
-    installs exact frame sizes for its lifetime — can restore it.
-    """
-    global _size_codec
-    previous = _size_codec
-    _size_codec = codec
-    return previous
-
-
-def _wire_size(value: Any) -> int:
-    """Approximate serialized size of one payload value, recursively.
-
-    Batch payloads are lists of dicts with embedded page ``bytes``;
-    counting containers by element count alone would hide megabytes of
-    page data from the bandwidth model, so containers recurse.
-    """
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 8 + sum(_wire_size(item) for item in value)
-    if isinstance(value, dict):
-        return 8 + sum(
-            len(str(key)) + _wire_size(item) for key, item in value.items()
-        )
-    return 8
-
 
 @dataclass
 class Message:
     """An envelope exchanged between Khazana daemons.
 
-    ``payload`` holds protocol-specific fields; bulk page data travels
-    under the ``"data"`` key as ``bytes`` and dominates the size
-    accounting below.
+    ``payload`` holds protocol-specific fields, in the value vocabulary
+    of :mod:`repro.net.codec`; bulk page data travels under the
+    ``"data"`` key as ``bytes`` and dominates the size accounting.
     """
 
     msg_type: MessageType
@@ -183,20 +138,16 @@ class Message:
         return self.msg_type in REPLY_TYPES
 
     def size_bytes(self) -> int:
-        """Wire size for bandwidth/latency accounting.
+        """Exact wire size: the length-prefixed frame that carries this
+        message (:func:`repro.net.frame.frame_size`), on every backend.
 
-        Hot data-path types report their exact binary-codec length
-        (see :mod:`repro.net.codec`); everything else keeps the
-        envelope-plus-estimate model.
+        Raises :class:`~repro.net.codec.Unencodable` if the payload
+        holds a value outside the wire vocabulary.
         """
-        if _size_codec is not None:
-            exact = _size_codec(self)
-            if exact is not None:
-                return exact
-        size = ENVELOPE_BYTES
-        for key, value in self.payload.items():
-            size += len(key) + _wire_size(value)
-        return size
+        # frame -> codec -> message: a module-level import would cycle.
+        from repro.net.frame import frame_size
+
+        return frame_size(self)
 
     def reply(
         self, msg_type: MessageType, payload: Optional[Dict[str, Any]] = None

@@ -22,14 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.clock import EventScheduler
-from repro.net.codec import install as _install_size_codec
+from repro.net.frame import frame_size
 from repro.net.message import Message, MessageType
 from repro.net.transport import MessageHandler, Transport
-
-# Every simulated deployment accounts hot-type traffic at its exact
-# binary-codec size; installed here (not in message.py) to keep the
-# message/codec dependency one-way.
-_install_size_codec()
 
 # Latency presets, in virtual seconds.
 LAN_LATENCY = 0.0005      # 0.5 ms, a late-90s switched Ethernet
@@ -229,7 +224,9 @@ class SimNetwork(Transport):
         return sorted(self._handlers)
 
     def send(self, message: Message) -> None:
-        size = message.size_bytes()
+        # The exact frame a socket would carry; raises Unencodable for
+        # a payload outside the wire vocabulary, as TCP send does.
+        size = frame_size(message)
         self.stats.record_send(message, size)
         for tap in self._taps:
             tap(message)

@@ -4,23 +4,23 @@ The second implementation of the :class:`~repro.net.transport.Transport`
 seam (the first is the simulator).  Semantics deliberately mirror the
 datagram model every protocol is written against:
 
-- ``send`` never blocks and never raises: frames queue on a lazy
+- ``send`` never blocks, and raises only
+  :class:`~repro.net.codec.Unencodable` for a payload outside the
+  wire vocabulary (as the simulator does): frames queue on a lazy
   per-destination :class:`ServiceConnection` and a dead or unreachable
   peer silently drops them (counted in ``stats.messages_dropped``),
   exactly as the simulator drops traffic to a crashed node.  The RPC
   layer's retransmission machinery provides reliability on top, same
   as over the sim.
 - delivery order per (src, dst) pair follows the stream, matching the
-  jitter-free simulator link.
+  jitter-free simulator link;
+- a malformed inbound frame (:class:`~repro.net.frame.FrameError`)
+  closes only the connection it arrived on.
 
 Each daemon process (or each in-process daemon, in the transport
 bench) owns one ``TcpTransport`` listening on its address-book entry;
 the address book is shared mutable state so ephemeral ports chosen by
 ``listen`` become visible to every transport built over the same book.
-
-While any transport is alive, ``Message.size_bytes`` reports exact
-frame sizes (see :mod:`repro.net.frame`), so traffic accounting equals
-bytes on the socket for hot and cold types alike.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class ServiceConnection:
 
 
 class TcpTransport(Transport):
-    """Frames the binary codec (pickle fallback) over asyncio streams."""
+    """Frames the binary codec over asyncio streams."""
 
     def __init__(self, addresses: Dict[int, Address],
                  loop: asyncio.AbstractEventLoop) -> None:
@@ -138,7 +138,6 @@ class TcpTransport(Transport):
         #: live server-side reader task -> its stream writer
         self._readers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closed = False
-        frame.install_exact_sizes()
 
     # --- Server side -----------------------------------------------------
 
@@ -167,13 +166,14 @@ class TcpTransport(Transport):
                 prefix = await reader.readexactly(frame.LENGTH_PREFIX.size)
                 (length,) = frame.LENGTH_PREFIX.unpack(prefix)
                 if not 0 < length <= frame.MAX_FRAME_BYTES:
-                    raise ValueError(f"bad frame length {length}")
+                    raise frame.FrameError(f"bad frame length {length}")
                 body = await reader.readexactly(length)
                 self._dispatch(frame.decode_body(body))
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass   # peer went away; streams have no goodbye handshake
-        except ValueError:
-            logger.warning("dropping connection after a corrupt frame")
+        except frame.FrameError as exc:
+            logger.warning("dropping connection after a corrupt frame: %s",
+                           exc)
         finally:
             try:
                 writer.close()
@@ -265,7 +265,6 @@ class TcpTransport(Transport):
             except RuntimeError:
                 pass   # loop already closed during interpreter teardown
         self._handlers.clear()
-        frame.uninstall_exact_sizes()
 
     async def aclose(self) -> None:
         """Close and wait for sockets and reader tasks to release."""

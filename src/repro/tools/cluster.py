@@ -163,7 +163,7 @@ def build_node(
 # runs the *unchanged* fsck pass over it.
 
 def snapshot_node(daemon: KhazanaDaemon) -> Dict[str, Any]:
-    """This daemon's fsck-relevant state as a picklable dict."""
+    """This daemon's fsck-relevant state as plain, wire-encodable data."""
 
     def level_snapshot(level: Any) -> Dict[str, Any]:
         pages = {}

@@ -19,7 +19,9 @@ import pytest
 
 import repro
 from repro.core.client import KhazanaSession
+from repro.net import frame
 from repro.net.aio import AsyncioDriver, AsyncioRuntime
+from repro.net.message import Message, MessageType
 from repro.tools import fsck
 from repro.tools.cluster import (
     SnapshotCluster,
@@ -158,10 +160,18 @@ class TestSnapshotFsck:
         assert report.ok, report.render()
 
     def test_snapshot_is_plain_data(self, mini_cluster):
-        _runtime, daemons, _session = mini_cluster
-        import pickle
-
+        _runtime, daemons, session = mini_cluster
+        run_workload(session, "crew", home_node=0, pages=2, ops=1)
         snap = snapshot_node(daemons[0])
-        clone = pickle.loads(pickle.dumps(snap))
+        assert snap["storage"]["memory"]["pages"]
+        # The snapshot control reply crosses the wire codec intact,
+        # int-keyed page maps included.
+        reply = Message(MessageType.APP_REPLY, src=0, dst=1,
+                        payload={"snapshot": snap})
+        wire = frame.encode_frame(reply)
+        assert len(wire) == reply.size_bytes()
+        clone = frame.decode_body(
+            wire[frame.LENGTH_PREFIX.size:]).payload["snapshot"]
+        assert clone == snap
         assert clone["node"] == 0
         assert "regions" in clone and "entries" in clone

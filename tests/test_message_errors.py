@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import errors
-from repro.net.message import ENVELOPE_BYTES, Message, MessageType, REPLY_TYPES
+from repro.net import frame
+from repro.net.message import Message, MessageType, REPLY_TYPES
 
 
 class TestMessage:
@@ -32,9 +33,8 @@ class TestMessage:
                         payload={"data": b""})
         big = Message(MessageType.PAGE_DATA, src=1, dst=2,
                       payload={"data": b"x" * 4096})
-        # PAGE_DATA is a codec hot type once a simulation is up: the
-        # 4 KiB of page data shows up byte-for-byte, plus at most a
-        # few bytes of length-prefix growth.
+        # The 4 KiB of page data shows up byte-for-byte, plus at most
+        # a few bytes of varint length growth.
         grown = big.size_bytes() - small.size_bytes()
         assert 4096 <= grown <= 4096 + 8
         assert small.size_bytes() > 0
@@ -49,7 +49,7 @@ class TestMessage:
                 "flag": True,
             },
         )
-        assert msg.size_bytes() > ENVELOPE_BYTES
+        assert msg.size_bytes() == len(frame.encode_frame(msg))
 
     def test_request_types_are_not_reply_types(self):
         assert MessageType.LOCK_REQUEST not in REPLY_TYPES

@@ -4,9 +4,11 @@ Everything here runs over genuine localhost sockets: two transports
 share one loop and one address book, so frames between them cross the
 kernel.  Covered contracts:
 
-- exact size accounting — while a transport is alive,
-  ``Message.size_bytes()`` equals the bytes that actually hit the
-  socket, for codec-framed hot types and pickled cold types alike;
+- exact size accounting — ``Message.size_bytes()`` equals the bytes
+  that actually hit the socket, for every message type, and does not
+  depend on whether a transport is alive;
+- malformed frames — a peer sending garbage loses its own connection
+  and nothing else;
 - RPC timeout/retry — a request into a dead port retransmits per its
   :class:`~repro.net.rpc.RetryPolicy` and then fails with
   :class:`~repro.net.rpc.RpcTimeout`, exactly as over the simulator;
@@ -18,6 +20,8 @@ kernel.  Covered contracts:
 from __future__ import annotations
 
 import pytest
+
+import asyncio
 
 from repro.net import frame
 from repro.net.aio import AsyncioRuntime
@@ -84,8 +88,8 @@ class TestFrameRoundtrip:
         runtime, _book, t1, t2 = loopback
         received = []
         t2.attach(2, received.append)
-        # Zero-copy reads hand out memoryviews; a cold-type frame must
-        # carry them as bytes rather than refusing to pickle.
+        # Zero-copy reads hand out memoryviews; a control-plane frame
+        # carries them as bytes, exactly as a data-path frame does.
         msg = Message(MessageType.APP_REPLY, src=1, dst=2,
                       payload={"data": memoryview(b"z" * 64)})
         t1.send(msg)
@@ -108,8 +112,6 @@ class TestExactSizes:
         ]
         before = t1.stats.bytes_sent
         for msg in messages:
-            # While a transport is alive the size codec reports exact
-            # frame sizes, so accounting equals the socket.
             assert msg.size_bytes() == len(frame.encode_frame(msg))
             t1.send(msg)
         _drain_until(runtime, lambda: len(received) == 2)
@@ -118,18 +120,71 @@ class TestExactSizes:
         reported = sum(msg.size_bytes() for msg in messages)
         assert tap_measured == reported
 
-    def test_cold_type_size_is_the_pickled_frame_not_an_estimate(self):
+    def test_size_is_the_same_before_during_and_after_a_transport(self):
         msg = Message(MessageType.APP_REPLY, src=1, dst=2,
                       payload={"snapshot": {"k": list(range(200))}})
-        estimated = msg.size_bytes()
-        frame.install_exact_sizes()
+        before = msg.size_bytes()
+        runtime = AsyncioRuntime()
+        transport = TcpTransport({}, runtime.loop)
         try:
-            exact = msg.size_bytes()
-            assert exact == len(frame.encode_frame(msg))
-            assert exact != estimated
+            runtime.loop.run_until_complete(transport.listen(1))
+            during = msg.size_bytes()
         finally:
-            frame.uninstall_exact_sizes()
-        assert msg.size_bytes() == estimated
+            runtime.loop.run_until_complete(transport.aclose())
+            runtime.close()
+        after = msg.size_bytes()
+        assert before == during == after == len(frame.encode_frame(msg))
+
+
+#: Bodies a hostile or broken peer might send, each one a different way
+#: for decoding to fail (see test_net_codec.py for the full fuzz).
+_HEADER = frame.encode_frame(
+    Message(MessageType.APP_REQUEST, src=9, dst=2, msg_id=1)
+)[frame.LENGTH_PREFIX.size:-1]
+MALFORMED_BODIES = {
+    "garbage": b"\x00not a khazana frame",
+    "short": b"\xc5\x01\x02",
+    "deep": _HEADER + b"\x01\x01v" + b"\x07\x01" * 3000 + b"\x00",
+}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_BODIES))
+    def test_bad_frame_closes_only_its_connection(self, loopback, kind):
+        runtime, book, t1, t2 = loopback
+        received = []
+        t2.attach(2, received.append)
+        body = MALFORMED_BODIES[kind]
+
+        async def send_raw() -> bytes:
+            reader, writer = await asyncio.open_connection(*book[2])
+            writer.write(frame.LENGTH_PREFIX.pack(len(body)) + body)
+            await writer.drain()
+            # The server drops this connection: EOF, not a reply.
+            leftover = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return leftover
+
+        assert runtime.loop.run_until_complete(send_raw()) == b""
+        # A well-formed peer on its own connection is unaffected.
+        t1.send(Message(MessageType.APP_REQUEST, src=1, dst=2,
+                        payload={"n": 1}))
+        _drain_until(runtime, lambda: received)
+        assert received[0].payload == {"n": 1}
+        assert t2.stats.messages_delivered == 1
+
+    def test_oversized_length_prefix_closes_the_connection(self, loopback):
+        runtime, book, _t1, _t2 = loopback
+
+        async def send_prefix() -> bytes:
+            reader, writer = await asyncio.open_connection(*book[2])
+            writer.write(frame.LENGTH_PREFIX.pack(frame.MAX_FRAME_BYTES + 1))
+            await writer.drain()
+            leftover = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return leftover
+
+        assert runtime.loop.run_until_complete(send_prefix()) == b""
 
 
 class TestRpcOverTcp:
