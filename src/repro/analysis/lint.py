@@ -769,7 +769,8 @@ RUNTIME_MODULES = ("repro/net/aio.py", "repro/net/tcp.py")
 #: ``asyncio.*`` but still must not open sockets themselves — all
 #: wire traffic goes through a Transport.
 DRIVER_MODULES = ("repro/tools/cluster.py", "repro/bench/transport.py",
-                  "repro/bench/hotpath.py", "repro/bench/placement.py")
+                  "repro/bench/hotpath.py", "repro/bench/placement.py",
+                  "repro/bench/addressmap.py")
 
 #: Dotted-call prefixes that bind code to a real runtime (KHZ011).
 RUNTIME_PREFIXES = (

@@ -27,7 +27,7 @@ import abc
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.core.addressing import (
     DEFAULT_PAGE_SIZE,
@@ -58,6 +58,10 @@ ROOT_PAGE = 0
 #: Fixed tree-node fanout.  With JSON encoding, 32 entries fit a
 #: 4 KiB page with room to spare.
 MAX_ENTRIES = 32
+
+#: Descent bound: far deeper than a B-tree over the whole address
+#: space gets at this fanout; guards against cycles in a corrupt tree.
+MAX_DEPTH = 64
 
 ProtocolGen = Generator[Any, Any, Any]
 
@@ -149,6 +153,11 @@ class MapNode:
             next_free_page=doc.get("next_free_page"),
         )
 
+    def span(self) -> AddressRange:
+        """The range the node's (contiguous) entries jointly cover."""
+        return AddressRange.from_bounds(self.entries[0].range.start,
+                                        self.entries[-1].range.end)
+
     def entry_covering(self, address: int) -> Optional[MapEntry]:
         for entry in self.entries:
             if entry.range.contains(address):
@@ -225,13 +234,39 @@ def initial_root_node() -> MapNode:
     )
 
 
-class AddressMap:
-    """Generator-based operations on the distributed tree.
+class _HeldPage:
+    """A page WRITE-locked on the pessimistic path, with a snapshot of
+    its contents so that only pages that changed are written back."""
 
-    Mutating operations take a write lock on the root page first; the
-    root write token therefore serialises all map mutations, while
-    lookups run against (possibly stale) local replicas under read
-    locks — exactly the relaxed-consistency posture of Section 3.1.
+    def __init__(self, page_addr: int, ctx: Any, node: MapNode) -> None:
+        self.page_addr = page_addr
+        self.ctx = ctx
+        self.node = node
+        self._before = (list(node.entries), node.next_free_page)
+
+    @property
+    def changed(self) -> bool:
+        return (self.node.entries, self.node.next_free_page) != self._before
+
+
+#: A leaf mutation: rewrites entries of ``node`` around ``entry`` (the
+#: non-SUBTREE entry covering the target address), adding at most two,
+#: or raises.
+LeafEdit = Callable[[MapNode, MapEntry], None]
+
+
+class AddressMap:
+    """Generator-based operations on the distributed B-tree.
+
+    Interior nodes hold SUBTREE entries whose ranges are their
+    children's exact spans, and every leaf sits at the same depth.
+    A mutation rewrites entries inside one leaf: it descends under READ
+    locks, WRITE-locks only that leaf and validates the fresh copy the
+    write token brings.  When validation fails or the leaf would
+    overflow, it retries from the root under WRITE locks taken
+    top-down and splits, promoting separators into the parents.
+    Lookups run against (possibly stale) local replicas under READ
+    locks — the relaxed-consistency posture of Section 3.1.
     """
 
     def __init__(self, io: MapIO) -> None:
@@ -246,16 +281,27 @@ class AddressMap:
         through them).  The result may be stale; callers fall back to
         the cluster walk when acting on it fails (Section 3.1).
         """
+        _page_addr, _node, entry = yield from self._descend(address)
+        if entry is None:
+            raise NotReserved(
+                f"address {address:#x} not described by the address map"
+            )
+        return entry
+
+    def _descend(self, address: int) -> ProtocolGen:
+        """READ-locked descent towards ``address``.
+
+        Returns ``(page_addr, node, entry)`` for the first node whose
+        entry covering ``address`` is not SUBTREE.  ``entry`` is None
+        when the node does not cover the address, which only a child
+        page reached through a stale replica of its parent can do.
+        """
         page_addr = ROOT_PAGE
-        for _depth in range(64):   # tree depth bound; guards cycles
+        for _depth in range(MAX_DEPTH):
             node = yield from self._read_node(page_addr, LockMode.READ)
             entry = node.entry_covering(address)
-            if entry is None:
-                raise NotReserved(
-                    f"address {address:#x} not described by the address map"
-                )
-            if entry.state is not EntryState.SUBTREE:
-                return entry
+            if entry is None or entry.state is not EntryState.SUBTREE:
+                return page_addr, node, entry
             page_addr = entry.child_page
         raise KhazanaError("address-map descent exceeded depth bound")
 
@@ -353,86 +399,57 @@ class AddressMap:
                 f"{target.length}"
             )
         grown = AddressRange(target.start, new_length)
-        root_ctx = yield from self.io.lock_page(ROOT_PAGE, LockMode.WRITE)
-        try:
-            raw = yield from self.io.read_page(root_ctx, ROOT_PAGE)
-            root = MapNode.decode(raw)
-            yield from self._extend_in(ROOT_PAGE, root, target, grown,
-                                       requester)
-            yield from self.io.write_page(
-                root_ctx, ROOT_PAGE, root.encode(self.io.page_size)
-            )
-        finally:
-            yield from self.io.unlock_page(root_ctx)
 
-    def _extend_in(self, page_addr: int, node: MapNode,
-                   target: AddressRange, grown: AddressRange,
-                   requester: Optional[int]) -> ProtocolGen:
-        entry = node.entry_covering(target.start)
-        if entry is None:
-            raise NotReserved(f"range {target} not in the address map")
-        if entry.state is EntryState.SUBTREE:
-            child_addr = entry.child_page
-            child_ctx = yield from self.io.lock_page(
-                child_addr, LockMode.WRITE
-            )
-            try:
-                raw = yield from self.io.read_page(child_ctx, child_addr)
-                child_node = MapNode.decode(raw)
-                yield from self._extend_in(
-                    child_addr, child_node, target, grown, requester
+        def grow(node: MapNode, entry: MapEntry) -> None:
+            if (entry.state is not EntryState.RESERVED
+                    or entry.range != target):
+                raise NotReserved(
+                    f"extend target {target} does not match map entry "
+                    f"{entry.range} ({entry.state.value})"
                 )
-                yield from self.io.write_page(
-                    child_ctx, child_addr,
-                    child_node.encode(self.io.page_size),
-                )
-            finally:
-                yield from self.io.unlock_page(child_ctx)
-            return
-        if entry.state is not EntryState.RESERVED or entry.range != target:
-            raise NotReserved(
-                f"extend target {target} does not match map entry "
-                f"{entry.range} ({entry.state.value})"
-            )
-        # Collect the run of FREE/DELEGATED entries after the region
-        # until the grown range is covered.
-        consumed: List[MapEntry] = []
-        position = target.end
-        while position < grown.end:
-            tail = node.entry_covering(position)
-            if tail is None or tail.state not in (
-                EntryState.FREE, EntryState.DELEGATED
-            ):
-                raise AddressSpaceExhausted(
-                    f"space after {target} is not free at {position:#x} "
-                    f"(found {tail.state.value if tail else 'a map-node boundary'})"
-                )
-            if (
-                tail.state is EntryState.DELEGATED
-                and requester is not None
-                and tail.manager_node != requester
-            ):
-                # Never steal space from another node's local pool —
-                # its daemon would later hand out the same addresses.
-                raise AddressSpaceExhausted(
-                    f"space after {target} is delegated to node "
-                    f"{tail.manager_node}, not the requester"
-                )
-            consumed.append(tail)
-            position = tail.range.end
+            # Collect the run of FREE/DELEGATED entries after the
+            # region until the grown range is covered.
+            consumed: List[MapEntry] = []
+            position = target.end
+            while position < grown.end:
+                tail = node.entry_covering(position)
+                if tail is None or tail.state not in (
+                    EntryState.FREE, EntryState.DELEGATED
+                ):
+                    raise AddressSpaceExhausted(
+                        f"space after {target} is not free at "
+                        f"{position:#x} (found "
+                        f"{tail.state.value if tail else 'a map-node boundary'})"
+                    )
+                if (
+                    tail.state is EntryState.DELEGATED
+                    and requester is not None
+                    and tail.manager_node != requester
+                ):
+                    # Never steal space from another node's local
+                    # pool — its daemon would later hand out the same
+                    # addresses.
+                    raise AddressSpaceExhausted(
+                        f"space after {target} is delegated to node "
+                        f"{tail.manager_node}, not the requester"
+                    )
+                consumed.append(tail)
+                position = tail.range.end
 
-        node.replace_entry(
-            entry, [MapEntry(grown, EntryState.RESERVED, entry.data)]
-        )
-        for tail in consumed:
-            remainder = tail.range.subtract(
-                AddressRange.from_bounds(target.end, grown.end)
-            )
             node.replace_entry(
-                tail,
-                [MapEntry(r, tail.state, tail.data) for r in remainder],
+                entry, [MapEntry(grown, EntryState.RESERVED, entry.data)]
             )
-        node.coalesce_free()
+            for tail in consumed:
+                remainder = tail.range.subtract(
+                    AddressRange.from_bounds(target.end, grown.end)
+                )
+                node.replace_entry(
+                    tail,
+                    [MapEntry(r, tail.state, tail.data) for r in remainder],
+                )
+            node.coalesce_free()
+
+        yield from self._mutate(target.start, grow)
 
     def update_homes(self, target: AddressRange,
                      home_nodes: Tuple[int, ...]) -> ProtocolGen:
@@ -461,132 +478,179 @@ class AddressMap:
         new_state: EntryState,
         new_data: Tuple[int, ...],
     ) -> ProtocolGen:
-        """Rewrite the entry containing ``target``, splitting as needed.
+        """Rewrite the leaf entry containing ``target`` as ``new_state``.
 
-        Holds a write lock on the root page for the duration (the map
-        mutation mutex) plus a write lock on the leaf node touched.
+        The entry becomes at most three pieces (the unchanged head and
+        tail around ``target``); see :meth:`_mutate` for the locking.
         """
-        root_ctx = yield from self.io.lock_page(ROOT_PAGE, LockMode.WRITE)
-        try:
-            raw = yield from self.io.read_page(root_ctx, ROOT_PAGE)
-            root = MapNode.decode(raw)
-            yield from self._carve_in(
-                ROOT_PAGE, root, root, target,
-                acceptable, new_state, new_data,
-            )
-            # Persist the root: its entries may have changed, and tree
-            # splits anywhere below bump its next_free_page counter.
-            yield from self.io.write_page(
-                root_ctx, ROOT_PAGE, root.encode(self.io.page_size)
-            )
-        finally:
-            yield from self.io.unlock_page(root_ctx)
 
-    def _carve_in(
-        self,
-        page_addr: int,
-        node: MapNode,
-        root: MapNode,
-        target: AddressRange,
-        acceptable: Tuple[EntryState, ...],
-        new_state: EntryState,
-        new_data: Tuple[int, ...],
-    ) -> ProtocolGen:
-        entry = node.entry_covering(target.start)
-        if entry is None:
-            raise NotReserved(
-                f"range {target} not described by the address map"
-            )
-        if entry.state is EntryState.SUBTREE:
-            child_addr = entry.child_page
-            child_ctx = yield from self.io.lock_page(
-                child_addr, LockMode.WRITE
-            )
-            try:
-                raw = yield from self.io.read_page(child_ctx, child_addr)
-                child_node = MapNode.decode(raw)
-                yield from self._carve_in(
-                    child_addr, child_node, root, target,
-                    acceptable, new_state, new_data,
+        def carve(node: MapNode, entry: MapEntry) -> None:
+            if not entry.range.contains_range(target):
+                raise InvalidRange(
+                    f"range {target} straddles address-map entries "
+                    f"(entry is {entry.range})"
                 )
-                yield from self.io.write_page(
-                    child_ctx, child_addr, child_node.encode(self.io.page_size)
+            if entry.state not in acceptable:
+                if new_state is EntryState.RESERVED:
+                    raise AlreadyReserved(
+                        f"range {target} is {entry.state.value}, not free"
+                    )
+                raise NotReserved(
+                    f"range {target} is {entry.state.value}; expected one "
+                    f"of {[s.value for s in acceptable]}"
                 )
-            finally:
-                yield from self.io.unlock_page(child_ctx)
-            return
-
-        if not entry.range.contains_range(target):
-            raise InvalidRange(
-                f"range {target} straddles address-map entries "
-                f"(entry is {entry.range})"
-            )
-        if entry.state not in acceptable:
-            if new_state is EntryState.RESERVED:
-                raise AlreadyReserved(
-                    f"range {target} is {entry.state.value}, not free"
-                )
-            raise NotReserved(
-                f"range {target} is {entry.state.value}; expected one of "
-                f"{[s.value for s in acceptable]}"
-            )
-
-        pieces: List[MapEntry] = []
-        if entry.range.start < target.start:
-            pieces.append(
-                MapEntry(
+            pieces: List[MapEntry] = []
+            if entry.range.start < target.start:
+                pieces.append(MapEntry(
                     AddressRange.from_bounds(entry.range.start, target.start),
                     entry.state, entry.data,
-                )
-            )
-        pieces.append(MapEntry(target, new_state, new_data))
-        if target.end < entry.range.end:
-            pieces.append(
-                MapEntry(
+                ))
+            pieces.append(MapEntry(target, new_state, new_data))
+            if target.end < entry.range.end:
+                pieces.append(MapEntry(
                     AddressRange.from_bounds(target.end, entry.range.end),
                     entry.state, entry.data,
-                )
+                ))
+            node.replace_entry(entry, pieces)
+            node.coalesce_free()
+
+        yield from self._mutate(target.start, carve)
+
+    def _mutate(self, address: int, edit: LeafEdit) -> ProtocolGen:
+        """Apply ``edit`` to the leaf entry covering ``address``.
+
+        The optimistic leaf-only write first; the pessimistic
+        root-down path when it cannot proceed.
+        """
+        done = yield from self._mutate_leaf(address, edit)
+        if not done:
+            yield from self._mutate_from_root(address, edit)
+
+    def _mutate_leaf(self, address: int, edit: LeafEdit) -> ProtocolGen:
+        """Optimistic path: READ-locked descent, then WRITE-lock, edit
+        and write the leaf alone.  Returns False to request a retry.
+
+        The leaf is re-read under its write token and must (1) not be
+        the root, (2) have a non-SUBTREE entry covering ``address``
+        and (3) have room for two more entries.  A non-root page never
+        changes level and is never freed, so a stale interior replica
+        can only lead here to a leaf that fails this validation, never
+        to a wrong edit.
+        """
+        def editable(node: MapNode) -> Optional[MapEntry]:
+            entry = node.entry_covering(address)
+            if (entry is None or entry.state is EntryState.SUBTREE
+                    or len(node.entries) + 2 > MAX_ENTRIES):
+                return None
+            return entry
+
+        page_addr, node, _entry = yield from self._descend(address)
+        # A replica that already fails the check skips the token.
+        if page_addr == ROOT_PAGE or editable(node) is None:
+            return False
+        ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
+        try:
+            raw = yield from self.io.read_page(ctx, page_addr)
+            leaf = MapNode.decode(raw)
+            entry = editable(leaf)
+            if entry is None:
+                return False
+            edit(leaf, entry)
+            yield from self.io.write_page(
+                ctx, page_addr, leaf.encode(self.io.page_size)
             )
-        node.replace_entry(entry, pieces)
-        node.coalesce_free()
+        finally:
+            yield from self.io.unlock_page(ctx)
+        return True
 
-        if len(node.entries) > MAX_ENTRIES:
-            yield from self._split(page_addr, node, root)
-        # The caller persists this node (the root in _carve, a child in
-        # the SUBTREE branch above).
-
-    def _split(self, page_addr: int, node: MapNode, root: MapNode) -> ProtocolGen:
-        """Replace an overflowing node's entries with two SUBTREE
-        children, allocating child pages from the root's bump counter."""
-        mid = len(node.entries) // 2
-        left_entries = node.entries[:mid]
-        right_entries = node.entries[mid:]
-        left_addr = self._alloc_tree_page(root)
-        right_addr = self._alloc_tree_page(root)
-
-        for child_addr, child_entries in (
-            (left_addr, left_entries),
-            (right_addr, right_entries),
-        ):
-            child = MapNode(entries=child_entries)
-            ctx = yield from self.io.lock_page(child_addr, LockMode.WRITE)
-            try:
-                yield from self.io.write_page(
-                    ctx, child_addr, child.encode(self.io.page_size)
-                )
-            finally:
+    def _mutate_from_root(self, address: int, edit: LeafEdit) -> ProtocolGen:
+        """Pessimistic path: WRITE-lock root to leaf, edit the leaf,
+        split any overflow upwards, and write back only the pages whose
+        entries changed (the root also when its allocator moved)."""
+        ctxs: List[Any] = []
+        held: List[_HeldPage] = []
+        try:
+            page_addr = ROOT_PAGE
+            while True:
+                if len(ctxs) == MAX_DEPTH:
+                    raise KhazanaError(
+                        "address-map descent exceeded depth bound"
+                    )
+                ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
+                ctxs.append(ctx)
+                raw = yield from self.io.read_page(ctx, page_addr)
+                page = _HeldPage(page_addr, ctx, MapNode.decode(raw))
+                held.append(page)
+                entry = page.node.entry_covering(address)
+                if entry is None:
+                    raise NotReserved(
+                        f"address {address:#x} not described by the "
+                        f"address map"
+                    )
+                if entry.state is not EntryState.SUBTREE:
+                    break
+                page_addr = entry.child_page
+            edit(page.node, entry)
+            yield from self._split_upwards(held)
+            for page in held:
+                if page.changed:
+                    yield from self.io.write_page(
+                        page.ctx, page.page_addr,
+                        page.node.encode(self.io.page_size),
+                    )
+        finally:
+            # Root first: a parent naming a new sibling is pushed
+            # before the child that lost those entries to it.
+            for ctx in ctxs:
                 yield from self.io.unlock_page(ctx)
 
-        left_range = AddressRange.from_bounds(
-            left_entries[0].range.start, left_entries[-1].range.end
-        )
-        right_range = AddressRange.from_bounds(
-            right_entries[0].range.start, right_entries[-1].range.end
-        )
-        node.entries = [
-            MapEntry(left_range, EntryState.SUBTREE, (left_addr,)),
-            MapEntry(right_range, EntryState.SUBTREE, (right_addr,)),
-        ]
+    def _split_upwards(self, held: List[_HeldPage]) -> ProtocolGen:
+        """Split the overflowing nodes on the locked path, bottom-up.
+
+        A non-root node keeps its left half in place and moves its
+        right half to a new page; the parent's SUBTREE entry for it
+        becomes two, one per half's exact span, which may overflow the
+        parent in turn.  The root moves both halves to new pages and
+        becomes their two SUBTREE entries, so every leaf stays at the
+        same depth.
+        """
+        root = held[0].node
+        for level in range(len(held) - 1, -1, -1):
+            page = held[level]
+            node = page.node
+            if len(node.entries) <= MAX_ENTRIES:
+                return
+            mid = len(node.entries) // 2
+            left, right = node.entries[:mid], node.entries[mid:]
+            if level == 0:
+                left_entry = yield from self._new_page(root, left)
+                right_entry = yield from self._new_page(root, right)
+                node.entries = [left_entry, right_entry]
+                return
+            parent = held[level - 1].node
+            old_entry = parent.entry_covering(left[0].range.start)
+            node.entries = left
+            right_entry = yield from self._new_page(root, right)
+            parent.replace_entry(old_entry, [
+                MapEntry(node.span(), EntryState.SUBTREE, (page.page_addr,)),
+                right_entry,
+            ])
+
+    def _new_page(self, root: MapNode,
+                  entries: List[MapEntry]) -> ProtocolGen:
+        """Write ``entries`` to a freshly allocated tree page; returns
+        the parent's SUBTREE entry for it.  The page is unreachable
+        until that parent is written, so its lock contends with none."""
+        node = MapNode(entries)
+        page_addr = self._alloc_tree_page(root)
+        ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
+        try:
+            yield from self.io.write_page(
+                ctx, page_addr, node.encode(self.io.page_size)
+            )
+        finally:
+            yield from self.io.unlock_page(ctx)
+        return MapEntry(node.span(), EntryState.SUBTREE, (page_addr,))
 
     def _alloc_tree_page(self, root: MapNode) -> int:
         if root.next_free_page is None:

@@ -2,8 +2,11 @@
 
 Checks performed against a (quiesced) cluster:
 
-1. **Map partition** — the address-map tree's entries are disjoint,
-   sorted, and jointly cover the entire 128-bit space.
+1. **Map partition and shape** — the address-map tree's entries are
+   disjoint, sorted, and jointly cover the entire 128-bit space; the
+   tree is a B-tree (leaves at one depth, SUBTREE ranges equal to
+   their children's spans, no page reachable twice, no child page past
+   the root's allocator).
 2. **Reservation agreement** — every RESERVED map entry's home list
    names at least one node that actually homes the region, and every
    homed region appears in the map.
@@ -28,15 +31,16 @@ Run via :func:`check_cluster`; returns an :class:`FsckReport` whose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Dict, List, Optional, Set
 
 from repro.analysis import invariants
 from repro.core.address_map import (
     ROOT_PAGE,
     EntryState,
+    MapEntry,
     MapNode,
 )
-from repro.core.addressing import MAX_ADDRESS
+from repro.core.addressing import MAX_ADDRESS, AddressRange
 from repro.core.daemon import SYSTEM_RID
 
 
@@ -73,24 +77,59 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _map_entries(cluster) -> List[Any]:
-    """Walk the address-map tree directly from the bootstrap node's
-    storage (fsck inspects state; it must not mutate it)."""
-    bootstrap = cluster.daemon(0)
-    entries: List[Any] = []
+def _walk_map(cluster, report: FsckReport) -> List[MapEntry]:
+    """Flatten the address-map tree, read directly from the bootstrap
+    node's storage (fsck inspects state; it must not mutate it), and
+    check its B-tree shape: every leaf entry at one depth, each SUBTREE
+    range equal to its child's span, no page reachable twice, and every
+    child page below the root's ``next_free_page``."""
+    storage = cluster.daemon(0).storage
 
-    def walk(page_addr: int) -> None:
-        page = bootstrap.storage.peek(page_addr)
-        if page is None:
+    def load(page_addr: int) -> Optional[MapNode]:
+        page = storage.peek(page_addr)
+        return None if page is None else MapNode.decode(page.data)
+
+    root = load(ROOT_PAGE)
+    next_free = None if root is None else root.next_free_page
+    entries: List[MapEntry] = []
+    leaf_depths: Dict[int, int] = {}
+    seen: Set[int] = set()
+
+    def walk(page_addr: int, depth: int,
+             covers: Optional[AddressRange]) -> None:
+        if page_addr in seen:
+            report.error(f"map page {page_addr:#x} is reachable twice")
             return
-        node = MapNode.decode(page.data)
+        seen.add(page_addr)
+        node = load(page_addr)
+        if node is None:
+            return
+        if covers is not None and node.entries and node.span() != covers:
+            report.error(
+                f"map page {page_addr:#x} spans {node.span()} but its "
+                f"parent's SUBTREE entry says {covers}"
+            )
         for entry in node.entries:
-            if entry.state is EntryState.SUBTREE:
-                walk(entry.child_page)
-            else:
+            if entry.state is not EntryState.SUBTREE:
+                leaf_depths.setdefault(depth, page_addr)
                 entries.append(entry)
+                continue
+            child = entry.child_page
+            if next_free is not None and child >= next_free:
+                report.error(
+                    f"map page {page_addr:#x} points at page {child:#x}, "
+                    f"at or beyond the allocator's next free page "
+                    f"{next_free:#x}"
+                )
+            walk(child, depth + 1, entry.range)
 
-    walk(ROOT_PAGE)
+    walk(ROOT_PAGE, 0, None)
+    if len(leaf_depths) > 1:
+        report.error(
+            "map leaves at unequal depths: "
+            + ", ".join(f"depth {d} (page {p:#x})"
+                        for d, p in sorted(leaf_depths.items()))
+        )
     return entries
 
 
@@ -103,8 +142,9 @@ def check_cluster(cluster, strict: bool = False) -> FsckReport:
     time to converge.
     """
     report = FsckReport()
-    _check_map_partition(cluster, report)
-    _check_reservations(cluster, report)
+    entries = _walk_map(cluster, report)
+    _check_map_partition(entries, report)
+    _check_reservations(cluster, entries, report)
     _check_descriptors(cluster, report)
     _check_copysets(cluster, report)
     _check_storage_accounting(cluster, report)
@@ -128,8 +168,9 @@ def _check_strict_invariants(cluster, report: FsckReport) -> None:
         report.error(f"strict: {problem}")
 
 
-def _check_map_partition(cluster, report: FsckReport) -> None:
-    entries = sorted(_map_entries(cluster), key=lambda e: e.range.start)
+def _check_map_partition(entries: List[MapEntry],
+                         report: FsckReport) -> None:
+    entries = sorted(entries, key=lambda e: e.range.start)
     report.checked_map_entries = len(entries)
     if not entries:
         report.error("address map is empty (root page unreadable?)")
@@ -153,8 +194,8 @@ def _check_map_partition(cluster, report: FsckReport) -> None:
         )
 
 
-def _check_reservations(cluster, report: FsckReport) -> None:
-    entries = _map_entries(cluster)
+def _check_reservations(cluster, entries: List[MapEntry],
+                        report: FsckReport) -> None:
     reserved = {
         e.range.start: e for e in entries if e.state is EntryState.RESERVED
     }

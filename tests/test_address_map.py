@@ -1,14 +1,16 @@
 """Unit tests for the address-map tree over an in-memory page store.
 
 These exercise the tree logic (carving, splitting, coalescing,
-lookups) without a cluster; integration through real daemons is
-covered by tests/test_core_api.py and tests/test_location.py.
+lookups, the B-tree shape and its locking) without a cluster;
+integration through real daemons is covered by tests/test_core_api.py,
+tests/test_location.py and the sim-cluster test at the end.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import create_cluster
 from repro.core.address_map import (
     MAX_ENTRIES,
     ROOT_PAGE,
@@ -21,6 +23,7 @@ from repro.core.address_map import (
     initial_root_node,
 )
 from repro.core.addressing import AddressRange, DEFAULT_PAGE_SIZE, MAX_ADDRESS
+from repro.core.daemon import DaemonConfig
 from repro.core.errors import (
     AddressSpaceExhausted,
     AlreadyReserved,
@@ -58,9 +61,82 @@ class FakePageStore(MapIO):
         yield  # pragma: no cover
 
 
+class LockOrderStore(FakePageStore):
+    """Records every WRITE lock taken while another is held whose page
+    is not an ancestor of the new one in the stored tree."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+        self.violations = []
+        self.parent = {}   # child page -> page whose entry names it
+
+    def lock_page(self, page_addr, mode):
+        if mode is LockMode.WRITE:
+            if page_addr in self.pages:
+                ancestors = set()
+                page = page_addr
+                while page in self.parent:
+                    page = self.parent[page]
+                    ancestors.add(page)
+                self.violations.extend(
+                    (held, page_addr) for held in self.held
+                    if held not in ancestors
+                )
+            self.held.append(page_addr)
+        return (page_addr, mode)
+        yield  # pragma: no cover
+
+    def write_page(self, ctx, page_addr, data):
+        for entry in MapNode.decode(data).entries:
+            if entry.state is EntryState.SUBTREE:
+                self.parent[entry.child_page] = page_addr
+        return (yield from super().write_page(ctx, page_addr, data))
+
+    def unlock_page(self, ctx):
+        page_addr, mode = ctx
+        if mode is LockMode.WRITE:
+            self.held.remove(page_addr)
+        return None
+        yield  # pragma: no cover
+
+
+class StaleReadStore(FakePageStore):
+    """READ locks see a frozen snapshot (a replica nobody refreshed);
+    WRITE locks see the live pages, as a write token's grant does."""
+
+    def __init__(self):
+        super().__init__()
+        self.snapshot = {}
+
+    def lock_page(self, page_addr, mode):
+        self.locks_taken.append((page_addr, mode))
+        return (page_addr, mode)
+        yield  # pragma: no cover
+
+    def read_page(self, ctx, page_addr):
+        _page, mode = ctx
+        if mode is LockMode.READ and page_addr in self.snapshot:
+            return self.snapshot[page_addr]
+        return self.pages.get(page_addr, b"")
+        yield  # pragma: no cover
+
+
 def run(gen):
     outcome = TaskRunner().spawn(gen)
     return outcome.result()
+
+
+def leaf_depths(pages, page_addr=ROOT_PAGE, depth=1):
+    """Set of depths (root = 1) at which non-SUBTREE entries sit."""
+    node = MapNode.decode(pages[page_addr])
+    depths = set()
+    for entry in node.entries:
+        if entry.state is EntryState.SUBTREE:
+            depths |= leaf_depths(pages, entry.child_page, depth + 1)
+        else:
+            depths.add(depth)
+    return depths
 
 
 @pytest.fixture
@@ -219,6 +295,123 @@ class TestSplitting:
         assert len(reserved) == count + 1
 
 
+def gapped(i):
+    """The i-th of a run of reservations with FREE gaps between them,
+    so each adds two entries that cannot coalesce away."""
+    return AddressRange(FREE_BASE + i * 0x10000, 0x4000)
+
+
+def root_entries(store):
+    return MapNode.decode(store.pages[ROOT_PAGE]).entries
+
+
+def root_has_split(store):
+    return root_entries(store)[0].state is EntryState.SUBTREE
+
+
+def reserve_until(amap, first, done):
+    """Reserve ``gapped(first)``, ``gapped(first + 1)``, ... until
+    ``done()`` holds (within a few node-fills); returns the next
+    unused index."""
+    for i in range(first, first + 4 * MAX_ENTRIES):
+        if done():
+            return i
+        run(amap.reserve(gapped(i), (1,)))
+    pytest.fail("the tree never reached the expected shape")
+
+
+class TestBalancedTree:
+    def test_contiguous_reserves_stay_shallow(self):
+        """5,000 reserves carved back to back from one delegated chunk
+        (how a node's space pool hands them out) keep every leaf at
+        one depth of at most 3, and every reservation resolves."""
+        store = FakePageStore()
+        amap = AddressMap(store)
+        run(amap.delegate(AddressRange(FREE_BASE, 1 << 40), 1))
+        count = 5000
+        for i in range(count):
+            start = FREE_BASE + i * DEFAULT_PAGE_SIZE
+            run(amap.reserve(AddressRange(start, DEFAULT_PAGE_SIZE),
+                             (i % 7,)))
+        depths = leaf_depths(store.pages)
+        assert len(depths) == 1 and max(depths) <= 3, depths
+        for i in range(count):
+            start = FREE_BASE + i * DEFAULT_PAGE_SIZE
+            entry = run(amap.lookup(start))
+            assert entry.state is EntryState.RESERVED
+            assert entry.range == AddressRange(start, DEFAULT_PAGE_SIZE)
+            assert entry.home_nodes == (i % 7,)
+
+    def test_root_split_promotes_both_halves(self, amap):
+        store = amap.io
+        reserve_until(amap, 0, lambda: root_has_split(store))
+        pages = store.pages
+        entries = root_entries(store)
+        assert [e.state for e in entries] == [EntryState.SUBTREE] * 2
+        for entry in entries:
+            assert MapNode.decode(pages[entry.child_page]).span() == \
+                entry.range
+        assert leaf_depths(pages) == {2}
+
+    def test_reserve_without_split_writes_only_its_leaf(self):
+        store = FakePageStore()
+        amap = AddressMap(store)
+        for i in range(MAX_ENTRIES + 4):
+            run(amap.reserve(gapped(i), (1,)))
+        before = dict(store.pages)
+        store.locks_taken.clear()
+        target = AddressRange(gapped(0).end + 0x1000, 0x1000)
+        run(amap.reserve(target, (2,)))
+        writes = [page for page, mode in store.locks_taken
+                  if mode is LockMode.WRITE]
+        assert len(writes) == 1 and writes[0] != ROOT_PAGE
+        changed = {p for p, data in store.pages.items()
+                   if before.get(p) != data}
+        assert changed == set(writes)
+
+    def test_write_locks_go_parent_before_child(self):
+        """600 gapped reserves split leaves, interior nodes and the
+        root twice; no WRITE lock is ever taken on a page while a
+        lock on something other than its ancestor is held."""
+        store = LockOrderStore()
+        amap = AddressMap(store)
+        for i in range(600):
+            run(amap.reserve(gapped(i), (1,)))
+            if i % 5 == 4:
+                run(amap.release(gapped(i - 2)))
+        assert leaf_depths(store.pages) == {3}
+        assert store.violations == []
+        assert store.held == []
+
+    def test_failed_edit_releases_its_locks(self):
+        store = LockOrderStore()
+        amap = AddressMap(store)
+        for i in range(MAX_ENTRIES + 4):
+            run(amap.reserve(gapped(i), (1,)))
+        with pytest.raises(AlreadyReserved):
+            run(amap.reserve(gapped(3), (2,)))
+        with pytest.raises(InvalidRange):
+            run(amap.release(AddressRange(gapped(3).start, 0x10000)))
+        assert store.held == []
+
+    def test_stale_interior_replica_retries_from_the_root(self):
+        store = StaleReadStore()
+        amap = AddressMap(store)
+        i = reserve_until(amap, 0, lambda: root_has_split(store))
+        store.snapshot = dict(store.pages)   # replicas stop refreshing
+        i = reserve_until(amap, i, lambda: len(root_entries(store)) == 3)
+        # The right leaf split: the upper half of its range moved to a
+        # page that the stale root replica does not point to.
+        store.locks_taken.clear()
+        target = gapped(i + 10)
+        run(amap.reserve(target, (5,)))
+        assert (ROOT_PAGE, LockMode.WRITE) in store.locks_taken
+        store.snapshot = {}
+        entry = run(amap.lookup(target.start))
+        assert entry.range == target and entry.home_nodes == (5,)
+        assert leaf_depths(store.pages) == {2}
+
+
 class TestMapProperties:
     @given(
         st.lists(
@@ -228,13 +421,14 @@ class TestMapProperties:
                 st.booleans(),
             ),
             min_size=1,
-            max_size=40,
+            max_size=200,
         )
     )
     @settings(max_examples=30, deadline=None)
     def test_partition_invariant(self, ops):
         """After arbitrary reserve/release sequences the tree still
-        partitions the whole address space into disjoint entries."""
+        partitions the whole address space into disjoint entries, with
+        every leaf at the same depth."""
         amap = AddressMap(FakePageStore())
         live = {}
         for slot, pages, do_release in ops:
@@ -256,3 +450,29 @@ class TestMapProperties:
             assert entry.range == rng
         entries = run(amap.enumerate_reserved())
         assert len(entries) == len(live) + 1   # + system region
+        assert len(leaf_depths(amap.io.pages)) == 1
+
+
+class TestOnSimCluster:
+    def test_newest_of_1200_regions_resolves_through_the_map(self):
+        cluster = create_cluster(
+            num_nodes=3, config=DaemonConfig(use_cluster_hints=False)
+        )
+        owner = cluster.client(node=1)
+        for _ in range(1200):
+            newest = owner.reserve(4096)
+        reader = cluster.client(node=2)
+        daemon = cluster.daemon(2)
+        desc = reader.driver.wait(reader.submit(
+            daemon.location.locate_region(newest.rid, skip_directory=True),
+            "locate",
+        ))
+        assert desc.rid == newest.rid
+        # Tier 3 answered: the map walk did not hit its depth bound
+        # and fall through to the cluster walk.
+        assert daemon.stats.lookup_tiers.get("map") == 1
+        assert "walk" not in daemon.stats.lookup_tiers
+        entry = reader.driver.wait(reader.submit(
+            daemon.address_map.lookup(newest.rid), "lookup"
+        ))
+        assert entry.range == newest.range

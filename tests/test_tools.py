@@ -4,7 +4,16 @@ them, whole-cluster invariant checks after a battery of operations."""
 import pytest
 
 from repro.api import create_cluster
+from repro.core.address_map import (
+    MAX_ENTRIES,
+    ROOT_PAGE,
+    EntryState,
+    MapEntry,
+    MapNode,
+)
+from repro.core.addressing import DEFAULT_PAGE_SIZE, AddressRange
 from repro.core.attributes import ConsistencyLevel, RegionAttributes
+from repro.storage.store import StoredPage
 from repro.tools import (
     check_cluster,
     cluster_summary,
@@ -74,6 +83,41 @@ class TestFsck:
         report = check_cluster(cluster)
         assert not report.ok
         assert any("used_bytes" in e for e in report.errors)
+
+    @pytest.mark.parametrize("corruption, finding", [
+        ("shrink_subtree_range", "SUBTREE entry says"),
+        ("inline_first_child", "unequal depths"),
+        ("point_twice", "reachable twice"),
+        ("rewind_allocator", "beyond the allocator"),
+    ])
+    def test_detects_map_shape_damage(self, corruption, finding):
+        cluster = create_cluster(num_nodes=2)
+        kz1 = cluster.client(node=1)
+        for _ in range(MAX_ENTRIES + 2):
+            kz1.reserve(4096)
+        assert check_cluster(cluster).ok
+        storage = cluster.daemon(0).storage
+        root = MapNode.decode(storage.peek(ROOT_PAGE).data)
+        first, second = root.entries[:2]
+        assert first.state is second.state is EntryState.SUBTREE
+        if corruption == "shrink_subtree_range":
+            root.entries[0] = MapEntry(
+                AddressRange(first.range.start, first.range.length - 4096),
+                EntryState.SUBTREE, first.data,
+            )
+        elif corruption == "inline_first_child":
+            child = MapNode.decode(storage.peek(first.child_page).data)
+            root.replace_entry(first, child.entries)
+        elif corruption == "point_twice":
+            root.entries[1] = MapEntry(second.range, EntryState.SUBTREE,
+                                       first.data)
+        else:
+            root.next_free_page = second.child_page
+        storage.store(StoredPage(ROOT_PAGE,
+                                 root.encode(DEFAULT_PAGE_SIZE)))
+        report = check_cluster(cluster)
+        assert not report.ok
+        assert any(finding in e for e in report.errors), report.render()
 
     def test_survives_migration_and_failover(self):
         cluster = create_cluster(num_nodes=6)
