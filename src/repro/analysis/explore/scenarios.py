@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping
 
+from repro.core.address_map import SYSTEM_REGION, EntryState
 from repro.core.addressing import AddressRange
 from repro.core.attributes import RegionAttributes
 from repro.core.errors import InvalidLockContext
 from repro.core.locks import LockMode
+from repro.tools import fsck
 
 PAGE = 4096
 
@@ -287,6 +289,56 @@ def eviction_writeback(cluster: Any, protocol: str) -> None:
         _expect(data == b"A" * 8, "evicted dirty page lost its bytes")
 
 
+def map_churn(cluster: Any, protocol: str) -> None:
+    """Two nodes reserve and unreserve regions in one address-map leaf
+    at once while queued releases flush.
+
+    Each unreserve queues its map release on the node; the node's next
+    reserve carries it, or its retry item writes it one housekeeping
+    period later.  Under every schedule all of them land and the final
+    map lists exactly the live regions.
+    """
+    attrs = RegionAttributes(consistency_protocol=protocol)
+    period = cluster.daemon(0).config.housekeeping_period
+
+    def churn(daemon: Any, pause: float):
+        held = []
+        for _ in range(4):
+            held.append((yield from daemon.op_reserve(PAGE, attrs)))
+            if len(held) > 1:
+                yield from daemon.op_unreserve(held.pop(0).rid)
+            yield daemon.sleep(pause)
+        return held
+
+    tasks = [
+        cluster.client(node=node).submit(
+            churn(cluster.daemon(node), period * (0.4 + 0.8 * node)),
+            f"map-churn-{node}",
+        )
+        for node in (0, 1)
+    ]
+    cluster.run(6 * period)
+    for task in tasks:
+        _expect(task.done, "churn did not complete")
+        _expect(task.exception() is None,
+                f"churn failed: {task.exception()!r}")
+    for node in (0, 1):
+        daemon = cluster.daemon(node)
+        _expect(not daemon.address_map.queued_releases
+                and daemon.retry_queue.pending == 0,
+                f"node {node} still holds queued map releases")
+    live = {desc.range for task in tasks for desc in task.result()}
+    session = cluster.client(node=0)
+    reserved = session.driver.wait(session.submit(
+        cluster.daemon(0).address_map.enumerate_reserved(), "map-scan"
+    ))
+    _expect({e.range for e in reserved
+             if e.state is EntryState.RESERVED} == live | {SYSTEM_REGION},
+            "the final map does not list exactly the live regions")
+    report = fsck.check_cluster(cluster)
+    _expect(report.ok and not report.warnings, report.render())
+
+
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s for s in (
         Scenario("single_page", single_page),
@@ -298,6 +350,7 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("home_outage", home_outage, min_nodes=3),
         Scenario("eviction_writeback", eviction_writeback, min_nodes=4,
                  cluster_kwargs={"memory_pages": 4, "disk_pages": 8}),
+        Scenario("map_churn", map_churn),
     )
 }
 

@@ -15,9 +15,12 @@ of reserved regions:
   regions is measured: tree depth, READ/WRITE page locks, page writes
   and page reads per operation, plus wall-clock rates;
 - **sim_reserve** — messages per ``reserve`` on a simulated 3-node
-  cluster whose client already holds 10^3 regions.
+  cluster whose client already holds 10^3 regions;
+- **sim_churn** — on the same cluster, messages, map page writes and
+  home write-throughs per reserve+unreserve cycle (each unreserve's
+  queued map release rides on the next reserve's leaf write).
 
-Page-access and message counts are deterministic, so ``--check``
+Page-access, message and write counts are deterministic, so ``--check``
 compares them exactly against the committed ``BENCH_addressmap.json``.
 Wall-clock rates are normalized by the calibration loop shared with
 ``repro.bench.hotpath``, timed beside each run of a window (so a slow
@@ -58,9 +61,11 @@ SIZES = ((100, 1_000, 10_000, 50_000), (100, 1_000, 10_000))
 #: times each window is timed (its median rate is reported).
 WINDOW = 256
 REPEATS = 5
-#: Simulated cluster: regions held before, and reserves measured.
+#: Simulated cluster: regions held before, and reserves (or
+#: reserve+unreserve cycles) measured.
 SIM_REGIONS = 1_000
 SIM_RESERVES = 100
+SIM_CYCLES = 100
 
 #: Deterministic fields of a scaling row, compared exactly.
 COUNT_KEYS = (
@@ -69,6 +74,12 @@ COUNT_KEYS = (
     "lookup_page_reads",
     "release_write_locks", "release_page_writes",
 )
+#: Deterministic fields of the sim rows, compared exactly.
+SIM_KEYS = {
+    "sim_reserve": ("msgs_per_reserve",),
+    "sim_churn": ("msgs_per_cycle", "page_writes_per_cycle",
+                  "write_throughs_per_cycle"),
+}
 #: Wall-clock fields, compared after calibration normalization.
 RATE_KEYS = ("reserves_per_sec", "lookups_per_sec", "releases_per_sec")
 
@@ -183,8 +194,9 @@ def bench_size(regions: int) -> Dict[str, Any]:
     return row
 
 
-def bench_sim_reserve() -> Dict[str, Any]:
-    """Messages per reserve once the client holds ``SIM_REGIONS``."""
+def _sim_cluster() -> Tuple[Any, Any]:
+    """A 3-node simulated cluster and a session on node 1 that already
+    holds ``SIM_REGIONS`` one-page regions."""
     cluster = create_cluster(
         num_nodes=3, topology="lan",
         config=DaemonConfig(enable_failure_handling=False),
@@ -192,6 +204,12 @@ def bench_sim_reserve() -> Dict[str, Any]:
     session = cluster.client(node=1)
     for _ in range(SIM_REGIONS):
         session.reserve(DEFAULT_PAGE_SIZE)
+    return cluster, session
+
+
+def bench_sim_reserve() -> Dict[str, Any]:
+    """Messages per reserve once the client holds ``SIM_REGIONS``."""
+    cluster, session = _sim_cluster()
     before = cluster.stats.messages_sent
     for _ in range(SIM_RESERVES):
         session.reserve(DEFAULT_PAGE_SIZE)
@@ -203,6 +221,39 @@ def bench_sim_reserve() -> Dict[str, Any]:
     }
 
 
+def bench_sim_churn() -> Dict[str, Any]:
+    """Per reserve+unreserve cycle once the client holds
+    ``SIM_REGIONS``: messages, map page writes (the cycle writes no
+    data pages) and write-throughs at the map's home.  The run ends a
+    housekeeping period past the last cycle, so its release lands."""
+    cluster, session = _sim_cluster()
+    daemons = [cluster.daemon(node) for node in cluster.node_ids()]
+
+    def totals() -> Tuple[int, int, int]:
+        return (
+            cluster.stats.messages_sent,
+            sum(d.stats.ops.get("write", 0) for d in daemons),
+            sum(d.storage.stats.write_throughs for d in daemons),
+        )
+
+    before = totals()
+    for _ in range(SIM_CYCLES):
+        desc = session.reserve(DEFAULT_PAGE_SIZE)
+        session.unreserve(desc.rid)
+    cluster.run(daemons[0].config.housekeeping_period + 1.0)
+    sent, writes, write_throughs = (
+        (after - start) / SIM_CYCLES
+        for after, start in zip(totals(), before)
+    )
+    return {
+        "regions": SIM_REGIONS,
+        "cycles": SIM_CYCLES,
+        "msgs_per_cycle": round(sent, 3),
+        "page_writes_per_cycle": round(writes, 3),
+        "write_throughs_per_cycle": round(write_throughs, 3),
+    }
+
+
 def run_suite(quick: bool = False) -> Dict[str, Any]:
     """Run the suite; returns the BENCH_addressmap.json document."""
     return {
@@ -211,6 +262,7 @@ def run_suite(quick: bool = False) -> Dict[str, Any]:
         "benchmarks": {
             "scaling": {str(n): bench_size(n) for n in SIZES[quick]},
             "sim_reserve": bench_sim_reserve(),
+            "sim_churn": bench_sim_churn(),
         },
     }
 
@@ -241,14 +293,16 @@ def check_regressions(baseline: Dict[str, Any],
                     f"fell below {OPS_TOLERANCE:.0%} of baseline "
                     f"{base_norm:.4f}"
                 )
-    sim_base, sim_got = base.get("sim_reserve"), got.get("sim_reserve")
-    if sim_base and sim_got and (
-        sim_got["msgs_per_reserve"] != sim_base["msgs_per_reserve"]
-    ):
-        failures.append(
-            f"sim_reserve: msgs_per_reserve {sim_got['msgs_per_reserve']} "
-            f"!= baseline {sim_base['msgs_per_reserve']}"
-        )
+    for name, keys in SIM_KEYS.items():
+        sim_base, sim_got = base.get(name), got.get(name)
+        if not (sim_base and sim_got):
+            continue
+        for key in keys:
+            if sim_got[key] != sim_base[key]:
+                failures.append(
+                    f"{name}: {key} {sim_got[key]} != baseline "
+                    f"{sim_base[key]}"
+                )
     return failures
 
 
@@ -258,10 +312,10 @@ def render(doc: Dict[str, Any]) -> str:
         body = ", ".join(f"{k}={v}" for k, v in row.items()
                          if k != "regions")
         lines.append(f"  scaling[{size}]: {body}")
-    sim = doc["benchmarks"]["sim_reserve"]
-    lines.append("  sim_reserve: " + ", ".join(
-        f"{k}={v}" for k, v in sim.items()
-    ))
+    for name in SIM_KEYS:
+        lines.append(f"  {name}: " + ", ".join(
+            f"{k}={v}" for k, v in doc["benchmarks"][name].items()
+        ))
     return "\n".join(lines)
 
 

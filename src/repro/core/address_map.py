@@ -42,6 +42,7 @@ from repro.core.errors import (
     NotReserved,
 )
 from repro.core.locks import LockMode
+from repro.net.tasks import Future
 
 #: The well-known system region holding the address-map tree: the
 #: first 16 MiB of the global address space (4096 tree pages).
@@ -235,8 +236,8 @@ def initial_root_node() -> MapNode:
 
 
 class _HeldPage:
-    """A page WRITE-locked on the pessimistic path, with a snapshot of
-    its contents so that only pages that changed are written back."""
+    """A page WRITE-locked by a mutation, with a snapshot of its
+    contents so that only pages that changed are written back."""
 
     def __init__(self, page_addr: int, ctx: Any, node: MapNode) -> None:
         self.page_addr = page_addr
@@ -255,6 +256,109 @@ class _HeldPage:
 LeafEdit = Callable[[MapNode, MapEntry], None]
 
 
+def _carver(target: AddressRange, acceptable: Tuple[EntryState, ...],
+            new_state: EntryState, new_data: Tuple[int, ...]) -> LeafEdit:
+    """The edit rewriting the entry containing ``target`` as
+    ``new_state``: at most three pieces, the unchanged head and tail
+    around ``target``.  It raises before touching the node."""
+
+    def carve(node: MapNode, entry: MapEntry) -> None:
+        if not entry.range.contains_range(target):
+            raise InvalidRange(
+                f"range {target} straddles address-map entries "
+                f"(entry is {entry.range})"
+            )
+        if entry.state not in acceptable:
+            if new_state is EntryState.RESERVED:
+                raise AlreadyReserved(
+                    f"range {target} is {entry.state.value}, not free"
+                )
+            raise NotReserved(
+                f"range {target} is {entry.state.value}; expected one "
+                f"of {[s.value for s in acceptable]}"
+            )
+        pieces: List[MapEntry] = []
+        if entry.range.start < target.start:
+            pieces.append(MapEntry(
+                AddressRange.from_bounds(entry.range.start, target.start),
+                entry.state, entry.data,
+            ))
+        pieces.append(MapEntry(target, new_state, new_data))
+        if target.end < entry.range.end:
+            pieces.append(MapEntry(
+                AddressRange.from_bounds(target.end, entry.range.end),
+                entry.state, entry.data,
+            ))
+        node.replace_entry(entry, pieces)
+        node.coalesce_free()
+
+    return carve
+
+
+def _releaser(target: AddressRange) -> LeafEdit:
+    return _carver(target, (EntryState.RESERVED,), EntryState.FREE, ())
+
+
+class QueuedRelease:
+    """An unreserve's map release waiting for a write of its leaf."""
+
+    def __init__(self, target: AddressRange) -> None:
+        self.target = target
+        #: Set while a write carrying the release is in flight; resolves
+        #: when that write's outcome is settled.
+        self.claim: Optional[Future] = None
+        #: Called once the release is on its page.
+        self.on_landed: Callable[[], None] = lambda: None
+
+
+class _Fold:
+    """The queued releases one leaf write carries.
+
+    Each is claimed while the write is in flight.  On leaving the
+    ``with`` block after ``written`` was set (so the write and the
+    unlock succeeded) they are dropped from the queue; otherwise their
+    claims are cleared and they stay queued.
+    """
+
+    def __init__(self, queue: List[QueuedRelease]) -> None:
+        self.queue = queue
+        self.releases: List[QueuedRelease] = []
+        self.written = False
+
+    def apply(self, node: MapNode) -> None:
+        """Release, in ``node``, every unclaimed queued range it holds.
+        A release whose edit fails is left for its own flush, which
+        reports the error."""
+        for release in self.queue:
+            if release.claim is not None:
+                continue
+            entry = node.entry_covering(release.target.start)
+            if entry is None or entry.state is EntryState.SUBTREE:
+                continue
+            try:
+                _releaser(release.target)(node, entry)
+            except (InvalidRange, NotReserved):
+                continue
+            release.claim = Future(f"map-release:{release.target.start:#x}")
+            self.releases.append(release)
+
+    def __enter__(self) -> "_Fold":
+        return self
+
+    def __exit__(self, exc_type: Any, _exc: Any, _tb: Any) -> None:
+        landed = exc_type is None and self.written
+        claims = [release.claim for release in self.releases]
+        for release in self.releases:
+            release.claim = None
+            if landed:
+                self.queue.remove(release)
+                release.on_landed()
+        # A waiting flush may resume inside these callbacks, so they
+        # run once the queue is consistent.
+        for claim in claims:
+            claim.set_result(landed)
+
+
 class AddressMap:
     """Generator-based operations on the distributed B-tree.
 
@@ -267,10 +371,23 @@ class AddressMap:
     top-down and splits, promoting separators into the parents.
     Lookups run against (possibly stale) local replicas under READ
     locks — the relaxed-consistency posture of Section 3.1.
+
+    Unreserve's release is queued (:meth:`queue_release`) rather than
+    written at once.  Every mutation first applies, to the leaf it
+    WRITE-locks, the queued releases that leaf holds, so they share its
+    token, push and write-through; :meth:`flush_release` writes a
+    release no mutation carried.  The queue is volatile, like the
+    retry queue that drives the flushes (Section 3.5).
     """
 
     def __init__(self, io: MapIO) -> None:
         self.io = io
+        self._queued: List[QueuedRelease] = []
+
+    @property
+    def queued_releases(self) -> Tuple[QueuedRelease, ...]:
+        """Releases not yet on their page, oldest first."""
+        return tuple(self._queued)
 
     # --- Read path --------------------------------------------------------
 
@@ -356,31 +473,54 @@ class AddressMap:
         The range must lie entirely within a single FREE or DELEGATED
         entry (reservations are carved from free space or from a chunk
         delegated to the reserving node)."""
-        yield from self._carve(
+        yield from self._mutate(target.start, _carver(
             target,
             acceptable=(EntryState.FREE, EntryState.DELEGATED),
             new_state=EntryState.RESERVED,
             new_data=tuple(home_nodes),
-        )
+        ))
 
     def delegate(self, target: AddressRange, node_id: int) -> ProtocolGen:
         """Hand a chunk of FREE space to ``node_id`` to manage locally
         (the cluster manager calls this to satisfy SPACE_REQUESTs)."""
-        yield from self._carve(
+        yield from self._mutate(target.start, _carver(
             target,
             acceptable=(EntryState.FREE,),
             new_state=EntryState.DELEGATED,
             new_data=(node_id,),
-        )
+        ))
 
     def release(self, target: AddressRange) -> ProtocolGen:
-        """Return a RESERVED range to FREE (unreserve)."""
-        yield from self._carve(
-            target,
-            acceptable=(EntryState.RESERVED,),
-            new_state=EntryState.FREE,
-            new_data=(),
-        )
+        """Return a RESERVED range to FREE now (resize's tail)."""
+        yield from self._mutate(target.start, _releaser(target))
+
+    def queue_release(self, target: AddressRange) -> QueuedRelease:
+        """Return a RESERVED range to FREE with this node's next write
+        of its leaf (unreserve); :meth:`flush_release` writes it if no
+        mutation does."""
+        release = QueuedRelease(target)
+        self._queued.append(release)
+        return release
+
+    def flush_release(self, release: QueuedRelease) -> ProtocolGen:
+        """Write ``release`` unless another write already carried it.
+
+        The write also carries every other queued release in the same
+        leaf.  While a write carrying ``release`` is in flight this
+        waits for its outcome, so the release is never applied twice.
+        """
+        def carry(node: MapNode, entry: MapEntry) -> None:
+            # Folded into this write (claimed), or carried by another:
+            # nothing to add.  Still queued and unclaimed means its
+            # edit failed in the fold; running it here raises that.
+            if release.claim is None and release in self._queued:
+                _releaser(release.target)(node, entry)
+
+        while release in self._queued:
+            if release.claim is not None:
+                yield release.claim
+            else:
+                yield from self._mutate(release.target.start, carry)
 
     def extend(self, target: AddressRange, new_length: int,
                requester: Optional[int] = None) -> ProtocolGen:
@@ -454,12 +594,12 @@ class AddressMap:
     def update_homes(self, target: AddressRange,
                      home_nodes: Tuple[int, ...]) -> ProtocolGen:
         """Refresh the home-node list of an existing reservation."""
-        yield from self._carve(
+        yield from self._mutate(target.start, _carver(
             target,
             acceptable=(EntryState.RESERVED,),
             new_state=EntryState.RESERVED,
             new_data=tuple(home_nodes),
-        )
+        ))
 
     # --- Internals ------------------------------------------------------------
 
@@ -471,71 +611,31 @@ class AddressMap:
             yield from self.io.unlock_page(ctx)
         return MapNode.decode(raw)
 
-    def _carve(
-        self,
-        target: AddressRange,
-        acceptable: Tuple[EntryState, ...],
-        new_state: EntryState,
-        new_data: Tuple[int, ...],
-    ) -> ProtocolGen:
-        """Rewrite the leaf entry containing ``target`` as ``new_state``.
-
-        The entry becomes at most three pieces (the unchanged head and
-        tail around ``target``); see :meth:`_mutate` for the locking.
-        """
-
-        def carve(node: MapNode, entry: MapEntry) -> None:
-            if not entry.range.contains_range(target):
-                raise InvalidRange(
-                    f"range {target} straddles address-map entries "
-                    f"(entry is {entry.range})"
-                )
-            if entry.state not in acceptable:
-                if new_state is EntryState.RESERVED:
-                    raise AlreadyReserved(
-                        f"range {target} is {entry.state.value}, not free"
-                    )
-                raise NotReserved(
-                    f"range {target} is {entry.state.value}; expected one "
-                    f"of {[s.value for s in acceptable]}"
-                )
-            pieces: List[MapEntry] = []
-            if entry.range.start < target.start:
-                pieces.append(MapEntry(
-                    AddressRange.from_bounds(entry.range.start, target.start),
-                    entry.state, entry.data,
-                ))
-            pieces.append(MapEntry(target, new_state, new_data))
-            if target.end < entry.range.end:
-                pieces.append(MapEntry(
-                    AddressRange.from_bounds(target.end, entry.range.end),
-                    entry.state, entry.data,
-                ))
-            node.replace_entry(entry, pieces)
-            node.coalesce_free()
-
-        yield from self._mutate(target.start, carve)
-
     def _mutate(self, address: int, edit: LeafEdit) -> ProtocolGen:
         """Apply ``edit`` to the leaf entry covering ``address``.
 
         The optimistic leaf-only write first; the pessimistic
-        root-down path when it cannot proceed.
+        root-down path when it cannot proceed.  Each attempt carries
+        the queued releases of the leaf it writes; both unlock before
+        their fold settles.
         """
-        done = yield from self._mutate_leaf(address, edit)
+        with _Fold(self._queued) as fold:
+            done = yield from self._mutate_leaf(address, edit, fold)
         if not done:
-            yield from self._mutate_from_root(address, edit)
+            with _Fold(self._queued) as fold:
+                yield from self._mutate_from_root(address, edit, fold)
 
-    def _mutate_leaf(self, address: int, edit: LeafEdit) -> ProtocolGen:
+    def _mutate_leaf(self, address: int, edit: LeafEdit,
+                     fold: _Fold) -> ProtocolGen:
         """Optimistic path: READ-locked descent, then WRITE-lock, edit
         and write the leaf alone.  Returns False to request a retry.
 
-        The leaf is re-read under its write token and must (1) not be
-        the root, (2) have a non-SUBTREE entry covering ``address``
-        and (3) have room for two more entries.  A non-root page never
-        changes level and is never freed, so a stale interior replica
-        can only lead here to a leaf that fails this validation, never
-        to a wrong edit.
+        The leaf is re-read under its write token, its queued releases
+        are applied, and it must then (1) not be the root, (2) have a
+        non-SUBTREE entry covering ``address`` and (3) have room for two
+        more entries.  A non-root page never changes level and is never
+        freed, so a stale interior replica can only lead here to a leaf
+        that fails this validation, never to a wrong edit.
         """
         def editable(node: MapNode) -> Optional[MapEntry]:
             entry = node.entry_covering(address)
@@ -551,22 +651,24 @@ class AddressMap:
         ctx = yield from self.io.lock_page(page_addr, LockMode.WRITE)
         try:
             raw = yield from self.io.read_page(ctx, page_addr)
-            leaf = MapNode.decode(raw)
-            entry = editable(leaf)
+            leaf = _HeldPage(page_addr, ctx, MapNode.decode(raw))
+            fold.apply(leaf.node)
+            entry = editable(leaf.node)
             if entry is None:
                 return False
-            edit(leaf, entry)
-            yield from self.io.write_page(
-                ctx, page_addr, leaf.encode(self.io.page_size)
-            )
+            edit(leaf.node, entry)
+            yield from self._write_changed([leaf])
+            fold.written = True
         finally:
             yield from self.io.unlock_page(ctx)
         return True
 
-    def _mutate_from_root(self, address: int, edit: LeafEdit) -> ProtocolGen:
-        """Pessimistic path: WRITE-lock root to leaf, edit the leaf,
-        split any overflow upwards, and write back only the pages whose
-        entries changed (the root also when its allocator moved)."""
+    def _mutate_from_root(self, address: int, edit: LeafEdit,
+                          fold: _Fold) -> ProtocolGen:
+        """Pessimistic path: WRITE-lock root to leaf, apply the leaf's
+        queued releases and then the edit, split any overflow upwards,
+        and write back only the pages whose entries changed (the root
+        also when its allocator moved)."""
         ctxs: List[Any] = []
         held: List[_HeldPage] = []
         try:
@@ -590,19 +692,25 @@ class AddressMap:
                 if entry.state is not EntryState.SUBTREE:
                     break
                 page_addr = entry.child_page
-            edit(page.node, entry)
+            fold.apply(page.node)
+            edit(page.node, page.node.entry_covering(address))
             yield from self._split_upwards(held)
-            for page in held:
-                if page.changed:
-                    yield from self.io.write_page(
-                        page.ctx, page.page_addr,
-                        page.node.encode(self.io.page_size),
-                    )
+            yield from self._write_changed(held)
+            fold.written = True
         finally:
             # Root first: a parent naming a new sibling is pushed
             # before the child that lost those entries to it.
             for ctx in ctxs:
                 yield from self.io.unlock_page(ctx)
+
+    def _write_changed(self, held: List[_HeldPage]) -> ProtocolGen:
+        """Write back the held pages whose contents changed."""
+        for page in held:
+            if page.changed:
+                yield from self.io.write_page(
+                    page.ctx, page.page_addr,
+                    page.node.encode(self.io.page_size),
+                )
 
     def _split_upwards(self, held: List[_HeldPage]) -> ProtocolGen:
         """Split the overflowing nodes on the locked path, bottom-up.

@@ -139,11 +139,16 @@ class SpaceService:
                 f"region {rid:#x} has live lock context {live_ctx}"
             )
         # Address-map release and per-home teardown are release-type:
-        # failures retry in the background, never surface (3.5).
-        kernel.retry_queue.enqueue(
-            lambda: kernel.address_map.release(desc.range),
+        # failures retry in the background, never surface (3.5).  The
+        # release rides on this node's next write of its map leaf; one
+        # housekeeping period on, it is written on its own.
+        release = kernel.address_map.queue_release(desc.range)
+        item_id = kernel.retry_queue.enqueue(
+            lambda: kernel.address_map.flush_release(release),
             label=f"unreserve-map:{rid:#x}",
+            delay=kernel.config.housekeeping_period,
         )
+        release.on_landed = lambda: kernel.retry_queue.finish(item_id)
         for home in desc.home_nodes:
             if home == kernel.node_id:
                 self.teardown_region(rid)

@@ -64,19 +64,31 @@ class RetryQueue:
     def labels(self) -> List[str]:
         return sorted(item.label for item in self._items.values())
 
-    def enqueue(self, factory: GenFactory, label: str = "release-op") -> int:
-        """Add an operation; the first attempt runs on the next tick."""
+    def enqueue(self, factory: GenFactory, label: str = "release-op",
+                delay: float = 0.0) -> int:
+        """Add an operation; the first attempt runs ``delay`` seconds
+        from now (on the next tick by default)."""
         item_id = self._next_id
         self._next_id += 1
         item = _RetryItem(factory=factory, label=label)
         self._items[item_id] = item
         self.stats.enqueued += 1
-        self._scheduler.call_soon(lambda: self._attempt(item_id),
-                                  label=f"retry-first:{label}")
+        if delay > 0:
+            self._scheduler.call_later(delay, lambda: self._attempt(item_id),
+                                       label=f"retry-first:{label}")
+        else:
+            self._scheduler.call_soon(lambda: self._attempt(item_id),
+                                      label=f"retry-first:{label}")
         return item_id
 
     def cancel(self, item_id: int) -> bool:
         return self._items.pop(item_id, None) is not None
+
+    def finish(self, item_id: int) -> None:
+        """Count an item as succeeded because another operation carried
+        it out; attempts still scheduled or in flight become no-ops."""
+        if self._items.pop(item_id, None) is not None:
+            self.stats.succeeded += 1
 
     def _attempt(self, item_id: int) -> None:
         item = self._items.get(item_id)

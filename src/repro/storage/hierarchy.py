@@ -41,6 +41,7 @@ class StorageStats:
     misses: int = 0
     victimized_to_disk: int = 0
     evicted_from_disk: int = 0
+    write_throughs: int = 0
     simulated_io_seconds: float = 0.0
 
     def hit_rate(self) -> float:
@@ -163,6 +164,7 @@ class StorageHierarchy:
         room_cost = self._make_room_on_disk(persisted.size, exclude=page.address)
         self.disk.put(persisted)
         io = access_cost(persisted.size)
+        self.stats.write_throughs += 1
         self.stats.simulated_io_seconds += io
         return cost + room_cost + io
 

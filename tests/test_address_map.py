@@ -1,7 +1,8 @@
 """Unit tests for the address-map tree over an in-memory page store.
 
 These exercise the tree logic (carving, splitting, coalescing,
-lookups, the B-tree shape and its locking) without a cluster;
+lookups, the B-tree shape and its locking, queued releases) without a
+cluster;
 integration through real daemons is covered by tests/test_core_api.py,
 tests/test_location.py and the sim-cluster test at the end.
 """
@@ -28,10 +29,14 @@ from repro.core.errors import (
     AddressSpaceExhausted,
     AlreadyReserved,
     InvalidRange,
+    KhazanaError,
     NotReserved,
 )
 from repro.core.locks import LockMode
-from repro.net.tasks import TaskRunner
+from repro.failure.retry import RetryQueue
+from repro.net.clock import EventScheduler
+from repro.net.tasks import Future, TaskRunner
+from repro.tools import fsck
 
 
 class FakePageStore(MapIO):
@@ -41,6 +46,7 @@ class FakePageStore(MapIO):
         self.page_size = DEFAULT_PAGE_SIZE
         self.pages = {ROOT_PAGE: initial_root_node().encode(self.page_size)}
         self.locks_taken = []
+        self.writes = []
 
     def lock_page(self, page_addr, mode):
         self.locks_taken.append((page_addr, mode))
@@ -52,6 +58,7 @@ class FakePageStore(MapIO):
         yield  # pragma: no cover
 
     def write_page(self, ctx, page_addr, data):
+        self.writes.append(page_addr)
         self.pages[page_addr] = data
         return None
         yield  # pragma: no cover
@@ -412,13 +419,228 @@ class TestBalancedTree:
         assert leaf_depths(store.pages) == {2}
 
 
+class GatedWriteStore(FakePageStore):
+    """Page writes raise ``fail`` once when it is set, and block on the
+    ``gate`` future while that is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = None
+        self.fail = None
+
+    def write_page(self, ctx, page_addr, data):
+        if self.fail is not None:
+            error, self.fail = self.fail, None
+            raise error
+        if self.gate is not None:
+            yield self.gate
+        return (yield from super().write_page(ctx, page_addr, data))
+
+
+def split_tree(store):
+    """A map over ``store`` filled until its root has split; returns
+    it and the next unused ``gapped`` index."""
+    amap = AddressMap(store)
+    return amap, reserve_until(amap, 0, lambda: root_has_split(store))
+
+
+def leaf_of(store, address):
+    """The stored page whose non-SUBTREE entry covers ``address``."""
+    page_addr = ROOT_PAGE
+    while True:
+        entry = MapNode.decode(store.pages[page_addr]).entry_covering(address)
+        if entry.state is not EntryState.SUBTREE:
+            return page_addr
+        page_addr = entry.child_page
+
+
+def state_at(amap, address):
+    return run(amap.lookup(address)).state
+
+
+#: A FREE gap inside the left leaf of a just-split tree.
+LEFT_GAP = AddressRange(gapped(3).end + 0x1000, 0x1000)
+
+
+class TestQueuedReleases:
+    def test_releases_ride_on_one_reserve_write(self):
+        store = FakePageStore()
+        amap, _ = split_tree(store)
+        leaf = leaf_of(store, LEFT_GAP.start)
+        assert leaf != ROOT_PAGE
+        for i in range(3):
+            assert leaf_of(store, gapped(i).start) == leaf
+            amap.queue_release(gapped(i))
+        store.locks_taken.clear()
+        store.writes.clear()
+        run(amap.reserve(LEFT_GAP, (2,)))
+        writes = [page for page, mode in store.locks_taken
+                  if mode is LockMode.WRITE]
+        assert writes == [leaf]
+        assert store.writes == [leaf]
+        assert amap.queued_releases == ()
+        for i in range(3):
+            assert state_at(amap, gapped(i).start) is EntryState.FREE
+        assert run(amap.lookup(LEFT_GAP.start)).home_nodes == (2,)
+
+    def test_queued_release_applies_before_the_edit(self):
+        """The reserve covers the released range and the gap after it,
+        which is one FREE entry only once the release has coalesced."""
+        amap, _ = split_tree(FakePageStore())
+        amap.queue_release(gapped(1))
+        target = AddressRange(gapped(1).start, 0x8000)
+        run(amap.reserve(target, (2,)))
+        entry = run(amap.lookup(target.start))
+        assert entry.range == target and entry.home_nodes == (2,)
+        assert amap.queued_releases == ()
+
+    def test_failed_edit_keeps_the_queue(self):
+        store = FakePageStore()
+        amap, _ = split_tree(store)
+        releases = [amap.queue_release(gapped(i)) for i in (0, 1)]
+        before = dict(store.pages)
+        store.writes.clear()
+        with pytest.raises(AlreadyReserved):
+            run(amap.reserve(gapped(2), (2,)))
+        assert store.writes == [] and store.pages == before
+        assert amap.queued_releases == tuple(releases)
+        assert all(release.claim is None for release in releases)
+        run(amap.flush_release(releases[0]))
+        assert amap.queued_releases == ()
+        for i in (0, 1):
+            assert state_at(amap, gapped(i).start) is EntryState.FREE
+
+    def test_failed_page_write_clears_the_claims(self):
+        store = GatedWriteStore()
+        amap, _ = split_tree(store)
+        releases = [amap.queue_release(gapped(i)) for i in (0, 1)]
+        store.fail = KhazanaError("write-through failed")
+        with pytest.raises(KhazanaError, match="write-through"):
+            run(amap.reserve(LEFT_GAP, (2,)))
+        assert amap.queued_releases == tuple(releases)
+        assert all(release.claim is None for release in releases)
+        assert state_at(amap, gapped(0).start) is EntryState.RESERVED
+        run(amap.reserve(LEFT_GAP, (2,)))
+        assert amap.queued_releases == ()
+        assert state_at(amap, gapped(0).start) is EntryState.FREE
+
+    def test_release_on_another_leaf_flushes_alone(self):
+        store = FakePageStore()
+        amap, next_index = split_tree(store)
+        release = amap.queue_release(gapped(0))
+        left = leaf_of(store, gapped(0).start)
+        target = AddressRange(gapped(next_index - 1).end + 0x1000, 0x1000)
+        right = leaf_of(store, target.start)
+        assert right != left
+        store.writes.clear()
+        run(amap.reserve(target, (2,)))
+        assert store.writes == [right]
+        assert amap.queued_releases == (release,)
+        assert state_at(amap, gapped(0).start) is EntryState.RESERVED
+        run(amap.flush_release(release))
+        assert store.writes == [right, left]
+        assert state_at(amap, gapped(0).start) is EntryState.FREE
+
+    def test_burst_of_releases_flushes_as_one_write(self):
+        store = FakePageStore()
+        amap, _ = split_tree(store)
+        leaf = leaf_of(store, gapped(0).start)
+        landed = []
+        releases = []
+        for i in range(6):
+            assert leaf_of(store, gapped(i).start) == leaf
+            release = amap.queue_release(gapped(i))
+            release.on_landed = lambda i=i: landed.append(i)
+            releases.append(release)
+        store.locks_taken.clear()
+        store.writes.clear()
+        run(amap.flush_release(releases[2]))
+        assert store.writes == [leaf]
+        assert sorted(landed) == list(range(6))
+        for release in releases:   # each one's own flush: a no-op now
+            run(amap.flush_release(release))
+        assert store.writes == [leaf]
+        assert [page for page, mode in store.locks_taken
+                if mode is LockMode.WRITE] == [leaf]
+
+    def _flush_behind_a_gated_reserve(self):
+        """A queued release with its retry item, a reserve carrying it
+        blocked in its page write, and the flush fired meanwhile."""
+        store = GatedWriteStore()
+        amap, _ = split_tree(store)
+        scheduler = EventScheduler()
+        runner = TaskRunner()
+        retry = RetryQueue(scheduler, runner.spawn)
+        release = amap.queue_release(gapped(0))
+        item_id = retry.enqueue(lambda: amap.flush_release(release),
+                                label="flush", delay=1.0)
+        release.on_landed = lambda: retry.finish(item_id)
+        gate = store.gate = Future("write-through")
+        store.writes.clear()
+        reserve = runner.spawn(amap.reserve(LEFT_GAP, (2,)))
+        assert not reserve.done and release.claim is not None
+        scheduler.run_until(2.0)   # the flush fires and waits
+        assert retry.pending == 1 and release.claim is not None
+        store.gate = None
+        return store, amap, scheduler, retry, gate, reserve
+
+    def test_flush_during_a_carrying_write_applies_it_once(self):
+        store, amap, scheduler, retry, gate, reserve = \
+            self._flush_behind_a_gated_reserve()
+        gate.set_result(None)
+        assert reserve.done and reserve.exception() is None
+        scheduler.run_until_idle()
+        assert retry.pending == 0
+        assert retry.stats.failed_attempts == 0
+        assert retry.stats.succeeded == 1
+        assert store.writes == [leaf_of(store, LEFT_GAP.start)]
+        assert amap.queued_releases == ()
+        assert state_at(amap, gapped(0).start) is EntryState.FREE
+
+    def test_flush_applies_the_release_when_the_carrying_write_fails(self):
+        store, amap, scheduler, retry, gate, reserve = \
+            self._flush_behind_a_gated_reserve()
+        gate.set_exception(KhazanaError("write-through failed"))
+        assert isinstance(reserve.exception(), KhazanaError)
+        scheduler.run_until_idle()
+        assert retry.pending == 0
+        assert retry.stats.failed_attempts == 0
+        assert store.writes == [leaf_of(store, gapped(0).start)]
+        assert state_at(amap, gapped(0).start) is EntryState.FREE
+        assert state_at(amap, LEFT_GAP.start) is EntryState.FREE
+
+
+def flat_entries(pages):
+    """Leaf entries in address order, adjacent FREE ones merged: the
+    map's contents regardless of where node boundaries fall."""
+    leaves = []
+
+    def walk(page_addr):
+        for entry in MapNode.decode(pages[page_addr]).entries:
+            if entry.state is EntryState.SUBTREE:
+                walk(entry.child_page)
+            else:
+                leaves.append(entry)
+
+    walk(ROOT_PAGE)
+    merged = []
+    for entry in leaves:
+        if (merged and entry.state is EntryState.FREE
+                and merged[-1].state is EntryState.FREE):
+            merged[-1] = MapEntry(merged[-1].range.union(entry.range),
+                                  EntryState.FREE)
+        else:
+            merged.append(entry)
+    return merged
+
+
 class TestMapProperties:
     @given(
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=200),
                 st.integers(min_value=1, max_value=8),
-                st.booleans(),
+                st.sampled_from(["reserve", "release", "queue", "flush"]),
             ),
             min_size=1,
             max_size=200,
@@ -426,23 +648,39 @@ class TestMapProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_partition_invariant(self, ops):
-        """After arbitrary reserve/release sequences the tree still
-        partitions the whole address space into disjoint entries, with
-        every leaf at the same depth."""
+        """After arbitrary reserve/release sequences, some releases
+        queued and flushed later, the tree still partitions the whole
+        address space into disjoint entries with every leaf at the same
+        depth; once the queue is flushed it holds what a serial model,
+        releasing every range at once, holds."""
         amap = AddressMap(FakePageStore())
+        serial = AddressMap(FakePageStore())
         live = {}
-        for slot, pages, do_release in ops:
+        for slot, pages, action in ops:
             start = FREE_BASE + slot * 0x10000
             rng = AddressRange(start, pages * DEFAULT_PAGE_SIZE)
-            if do_release and start in live:
-                run(amap.release(live.pop(start)))
+            if action == "flush":
+                if amap.queued_releases:
+                    run(amap.flush_release(amap.queued_releases[0]))
+            elif action != "reserve" and start in live:
+                target = live.pop(start)
+                run(serial.release(target))
+                if action == "queue":
+                    amap.queue_release(target)
+                else:
+                    run(amap.release(target))
             elif start not in live:
                 overlapping = any(
                     rng.overlaps(other) for other in live.values()
                 )
                 if not overlapping:
                     run(amap.reserve(rng, (1,)))
+                    run(serial.reserve(rng, (1,)))
                     live[start] = rng
+        for release in amap.queued_releases:
+            run(amap.flush_release(release))
+        assert amap.queued_releases == ()
+        assert flat_entries(amap.io.pages) == flat_entries(serial.io.pages)
         # Every live reservation resolves; released space is free.
         for start, rng in live.items():
             entry = run(amap.lookup(start))
@@ -476,3 +714,56 @@ class TestOnSimCluster:
             daemon.address_map.lookup(newest.rid), "lookup"
         ))
         assert entry.range == newest.range
+
+    def test_unreserved_ranges_are_free_after_one_housekeeping_period(self):
+        config = DaemonConfig()
+        cluster = create_cluster(num_nodes=3, config=config)
+        owner = cluster.client(node=1)
+        regions = [owner.reserve(4096) for _ in range(6)]
+        for desc in regions:
+            owner.allocate(desc.rid)
+        gone = regions[::2]
+        for desc in gone:
+            owner.unreserve(desc.rid)
+        # Until the queued releases land the map still names them.
+        lagging = [w for w in fsck.check_cluster(cluster).warnings
+                   if "no live node homes it" in w]
+        assert len(lagging) == len(gone)
+        cluster.run(config.housekeeping_period + 1)
+        for node in cluster.node_ids():
+            assert cluster.daemon(node).retry_queue.pending == 0
+        daemon = cluster.daemon(1)
+        assert daemon.address_map.queued_releases == ()
+        for desc in gone:
+            entry = owner.driver.wait(owner.submit(
+                daemon.address_map.lookup(desc.rid), "lookup"
+            ))
+            assert entry.state is EntryState.FREE
+        report = fsck.check_cluster(cluster)
+        assert report.ok, report.render()
+        assert not [w for w in report.warnings
+                    if "no live node homes it" in w], report.render()
+
+    def test_reserve_carrying_a_release_costs_a_lone_reserve(self):
+        cluster = create_cluster(
+            num_nodes=3,
+            config=DaemonConfig(enable_failure_handling=False,
+                                use_cluster_hints=False),
+        )
+        owner = cluster.client(node=1)
+        daemon = cluster.daemon(1)
+        regions = [owner.reserve(4096) for _ in range(3)]
+
+        def sent_by(action):
+            before = cluster.stats.snapshot()
+            action()
+            return cluster.stats.delta_since(before)
+
+        lone = sent_by(lambda: owner.reserve(4096))
+        owner.unreserve(regions[0].rid)
+        assert len(daemon.address_map.queued_releases) == 1
+        carrying = sent_by(lambda: owner.reserve(4096))
+        assert daemon.address_map.queued_releases == ()
+        assert daemon.retry_queue.pending == 0
+        assert carrying.messages_sent == lone.messages_sent
+        assert carrying.by_type == lone.by_type
