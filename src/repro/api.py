@@ -174,11 +174,17 @@ class Cluster:
     # --- Fault injection ---------------------------------------------------------
 
     def crash(self, node: int) -> None:
-        """Crash a node: it stops communicating and loses its RAM."""
+        """Crash a node: it stops communicating and loses its RAM.
+
+        Its disk survives, but only for pages it homes: the homes
+        scrub the node from their copysets, so its cached copies of
+        other nodes' pages could go stale unnoticed and are forgotten.
+        """
         daemon = self.daemons[node]
         self.network.crash(node)
         for address in daemon.storage.memory.addresses():
             daemon.storage.memory.remove(address)
+        daemon.forget_cached_pages()
 
     def recover(self, node: int) -> None:
         """Reconnect a previously crashed node (disk state intact)."""

@@ -378,6 +378,30 @@ class NodeKernel:
         self.journal.save_regions(self.homed_regions)
         self.journal.save_page_entries(self.page_directory)
 
+    def forget_cached_pages(self) -> None:
+        """Crash semantics for pages this node does not home.
+
+        Each home scrubs a dead node from its copysets, so after a
+        crash nothing would invalidate or update this node's cached
+        copies: a disk copy surviving the crash would later be served
+        stale.  Drop every such page's stored copies, its directory
+        entry and its CM page state; homed pages are untouched.
+        """
+        addresses = set(self.storage.resident_addresses())
+        addresses.update(e.address for e in self.page_directory.hint_entries())
+        for address in sorted(addresses):
+            entry = self.page_directory.get(address)
+            if entry is not None and entry.homed:
+                continue
+            if entry is None:
+                desc = self.region_directory.find_covering(address)
+                if desc is not None and self.node_id in desc.home_nodes:
+                    continue
+            self.storage.drop(address)
+            self.page_directory.drop(address)
+            for cm in self._cms.values():
+                cm.pages.drop(address)
+
     def stop(self) -> None:
         """Shut the daemon down (simulating a crash or clean exit)."""
         self._alive = False

@@ -7,6 +7,15 @@ the disk cache wants to victimize a page, it must invoke the
 consistency protocol associated with the page to update the list of
 sharers, push any dirty data to remote nodes, etc."
 
+The disk level is *inclusive*: a page may sit on both levels at once,
+and an address held on both has identical bytes and dirty bit (every
+RAM write goes through :meth:`store`, :meth:`store_resident` or
+:meth:`write_through`, which drop or rewrite the disk copy first).  So
+victimizing a page whose disk copy is current costs no I/O, and a page
+without one is written back in one disk access together with up to
+``CLUSTER_PAGES - 1`` of the next least-recently-used pages that also
+lack a copy (docs/architecture.md §7).
+
 The hierarchy knows nothing about regions or consistency; the daemon
 supplies two callbacks: ``is_pinned`` (locked pages may not be
 victimized) and ``on_disk_evict`` (the consistency-protocol hook run
@@ -31,6 +40,12 @@ EvictionCallback = Callable[[StoredPage], bool]
 #: context and must stay resident.
 PinCheck = Callable[[int], bool]
 
+#: Pages written back in one disk access: the victim plus up to this
+#: many minus one of the next least-recently-used unpinned pages that
+#: lack a disk copy.  Chosen by measurement on perfbench cold_scan
+#: (docs/performance.md §12).
+CLUSTER_PAGES = 16
+
 
 @dataclass
 class StorageStats:
@@ -42,6 +57,8 @@ class StorageStats:
     victimized_to_disk: int = 0
     evicted_from_disk: int = 0
     write_throughs: int = 0
+    #: Disk write accesses: one per write-back cluster or write-through.
+    disk_writes: int = 0
     simulated_io_seconds: float = 0.0
 
     def hit_rate(self) -> float:
@@ -58,7 +75,7 @@ class StorageStats:
 
 
 class StorageHierarchy:
-    """RAM over disk, indexed by global page address."""
+    """RAM over an inclusive disk level, indexed by global page address."""
 
     def __init__(
         self,
@@ -73,6 +90,9 @@ class StorageHierarchy:
         self._on_disk_evict: EvictionCallback = (
             on_disk_evict if on_disk_evict else lambda _page: True
         )
+        #: Addresses whose disk copy is persistent (written through, or
+        #: found on disk at start-up): never dropped to make room.
+        self._persistent = set(self.disk.addresses())
         self.stats = StorageStats()
 
     def set_pin_check(self, is_pinned: PinCheck) -> None:
@@ -126,8 +146,7 @@ class StorageHierarchy:
         delta = page.size - (existing.size if existing is not None else 0)
         if not self.memory.has_room_for(delta):
             return False
-        # Stale duplicate on disk would shadow the fresh RAM copy later.
-        self.disk.remove(page.address)
+        self._forget_disk_copy(page.address)
         self.memory.put(page)
         return True
 
@@ -150,8 +169,7 @@ class StorageHierarchy:
         Raises :class:`StorageExhausted` if both levels are full of
         pinned/unevictable pages.
         """
-        # Stale duplicate on disk would shadow the fresh RAM copy later.
-        self.disk.remove(page.address)
+        self._forget_disk_copy(page.address)
         cost = self._make_room_in_memory(page.size, exclude=page.address)
         self.memory.put(page)
         return cost
@@ -163,8 +181,10 @@ class StorageHierarchy:
         persisted = StoredPage(page.address, page.data, dirty=page.dirty)
         room_cost = self._make_room_on_disk(persisted.size, exclude=page.address)
         self.disk.put(persisted)
+        self._persistent.add(page.address)
         io = access_cost(persisted.size)
         self.stats.write_throughs += 1
+        self.stats.disk_writes += 1
         self.stats.simulated_io_seconds += io
         return cost + room_cost + io
 
@@ -176,7 +196,7 @@ class StorageHierarchy:
         Returns whichever copy was most current, RAM preferred.
         """
         ram = self.memory.remove(address)
-        disk = self.disk.remove(address)
+        disk = self._forget_disk_copy(address)
         return ram if ram is not None else disk
 
     def mark_clean(self, address: int) -> None:
@@ -208,42 +228,37 @@ class StorageHierarchy:
                 dirty.append(address)
         return sorted(dirty)
 
-    def used_bytes(self) -> int:
-        return self.memory.used_bytes() + self.disk.used_bytes()
-
     # --- Internals ----------------------------------------------------------------
 
+    def _forget_disk_copy(self, address: int) -> Optional[StoredPage]:
+        """Remove the disk copy (stale once RAM gets new bytes)."""
+        self._persistent.discard(address)
+        return self.disk.remove(address)
+
     def _promote(self, page: StoredPage) -> None:
-        """Move a disk hit up into RAM (best effort: skipped when RAM is
-        entirely pinned)."""
+        """Copy a disk hit up into RAM, keeping the disk copy (best
+        effort: skipped when RAM is entirely pinned).  The cost of the
+        victimization this may need is counted in the stats only."""
         try:
             self._make_room_in_memory(page.size, exclude=page.address)
         except StorageExhausted:
             return
-        self.disk.remove(page.address)
         self.memory.put(page)
 
     def _make_room_in_memory(self, size: int, exclude: int) -> float:
         cost = 0.0
-        guard = len(self.memory) + 1
-        while not self.memory.has_room_for(size) and guard > 0:
-            guard -= 1
-            victim_addr = self._pick_ram_victim(exclude)
-            if victim_addr is None:
+        while not self.memory.has_room_for(size):
+            victim = self._pick_ram_victim(exclude)
+            if victim is None:
                 raise StorageExhausted(
                     "RAM full and every resident page is pinned"
                 )
-            victim = self.memory.remove(victim_addr)
-            if victim is None:
-                continue
-            cost += self._make_room_on_disk(victim.size, exclude=exclude)
-            self.disk.put(victim)
-            io = access_cost(victim.size)
-            self.stats.simulated_io_seconds += io
+            if not self.disk.contains(victim):
+                cost += self._write_back(victim, exclude)
+            # The disk copy is current (inclusive invariant): dropping
+            # the RAM copy loses nothing.
+            self.memory.remove(victim)
             self.stats.victimized_to_disk += 1
-            cost += io
-        if not self.memory.has_room_for(size):
-            raise StorageExhausted("RAM full and victimization stalled")
         return cost
 
     def _pick_ram_victim(self, exclude: int) -> Optional[int]:
@@ -252,43 +267,77 @@ class StorageHierarchy:
                 continue
             if self._is_pinned(address):
                 continue
-            # Replacing an existing copy of the same page is handled by
-            # MemoryStore.put; only true victims reach here.
             return address
         return None
 
+    def _write_back(self, victim: int, exclude: int) -> float:
+        """Write ``victim`` to disk in one access, clustered with up to
+        ``CLUSTER_PAGES - 1`` of the next LRU unpinned pages that lack a
+        disk copy.  Those stay in RAM, now with a current disk copy.
+        Only the victim may force a true eviction; the others ride in
+        free disk space."""
+        first = self.memory.peek(victim)
+        assert first is not None
+        cost = self._make_room_on_disk(first.size, exclude=exclude)
+        batch = [first]
+        room = self.disk.free_bytes() - first.size
+        for address in self.memory.lru_candidates():
+            if len(batch) >= CLUSTER_PAGES:
+                break
+            if (address == victim or address == exclude
+                    or self.disk.contains(address)
+                    or self._is_pinned(address)):
+                continue
+            page = self.memory.peek(address)
+            if page is None or page.size > room:
+                break
+            batch.append(page)
+            room -= page.size
+        for page in batch:
+            self.disk.put(StoredPage(page.address, page.data, dirty=page.dirty))
+        io = access_cost(sum(page.size for page in batch))
+        self.stats.disk_writes += 1
+        self.stats.simulated_io_seconds += io
+        return cost + io
+
     def _make_room_on_disk(self, size: int, exclude: int) -> float:
+        """Free ``size`` bytes on disk: first drop cache copies of
+        RAM-resident pages (no I/O, no hook; most recently used first,
+        so the copies that make the next victimizations free survive),
+        then truly evict disk-only pages through the consistency hook,
+        skipping any it vetoes."""
+        disk = self.disk
+        if disk.has_room_for(size):
+            return 0.0
+        for address in reversed(self.memory.lru_candidates()):
+            if address == exclude or address in self._persistent:
+                continue
+            if disk.remove(address) is not None and disk.has_room_for(size):
+                return 0.0
         cost = 0.0
-        guard = len(self.disk) + 1
-        while not self.disk.has_room_for(size) and guard > 0:
-            guard -= 1
-            victim_addr = self._pick_disk_victim(exclude)
-            if victim_addr is None:
-                raise StorageExhausted(
-                    "disk full and no page may be evicted"
-                )
-            victim = self.disk.get(victim_addr)
+        vetoed = 0
+        for address in disk.addresses():
+            if disk.has_room_for(size):
+                break
+            if (address == exclude or self.memory.contains(address)
+                    or self._is_pinned(address)):
+                continue
+            victim = disk.get(address)
             if victim is None:
                 continue
             # Paper 3.4: disk eviction must first run the page's
             # consistency protocol (push dirty data, fix sharer lists).
             if not self._on_disk_evict(victim):
-                raise StorageExhausted(
-                    f"consistency protocol vetoed eviction of page "
-                    f"{victim_addr:#x}"
-                )
-            self.disk.remove(victim_addr)
+                vetoed += 1
+                continue
+            self._forget_disk_copy(address)
             self.stats.evicted_from_disk += 1
             cost += access_cost(victim.size)
-        if not self.disk.has_room_for(size):
-            raise StorageExhausted("disk full and eviction stalled")
+        if not disk.has_room_for(size):
+            if vetoed:
+                raise StorageExhausted(
+                    f"disk full: the consistency protocol vetoed eviction "
+                    f"of all {vetoed} candidate page(s)"
+                )
+            raise StorageExhausted("disk full and no page may be evicted")
         return cost
-
-    def _pick_disk_victim(self, exclude: int) -> Optional[int]:
-        for address in self.disk.addresses():
-            if address == exclude:
-                continue
-            if self._is_pinned(address):
-                continue
-            return address
-        return None

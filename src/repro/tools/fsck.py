@@ -17,7 +17,9 @@ Checks performed against a (quiesced) cluster:
    copyset actually holds a copy (stale hints here cost correctness,
    unlike the lookup caches).
 5. **Storage accounting** — every level's used-byte counter matches
-   the sum of its resident pages.
+   the sum of its resident pages, and a page held in both memory and
+   on disk has the same bytes and dirty bit on each (the disk level is
+   inclusive).
 
 With ``strict=True`` the pass additionally runs the quiesced-state
 invariants from :mod:`repro.analysis.invariants` — pin balance,
@@ -283,15 +285,19 @@ def _check_copysets(cluster, report: FsckReport) -> None:
                     )
 
 
+def _level_page(level, address: int):
+    """A level's page without touching its LRU order."""
+    return level.peek(address) if hasattr(level, "peek") else level.get(address)
+
+
 def _check_storage_accounting(cluster, report: FsckReport) -> None:
     for node in cluster.node_ids():
         daemon = cluster.daemon(node)
-        for name, level in (("memory", daemon.storage.memory),
-                            ("disk", daemon.storage.disk)):
+        memory, disk = daemon.storage.memory, daemon.storage.disk
+        for name, level in (("memory", memory), ("disk", disk)):
             actual = 0
             for address in level.addresses():
-                page = (level.peek(address) if hasattr(level, "peek")
-                        else level.get(address))
+                page = _level_page(level, address)
                 if page is not None:
                     actual += page.size
             if actual != level.used_bytes():
@@ -303,4 +309,18 @@ def _check_storage_accounting(cluster, report: FsckReport) -> None:
                 report.error(
                     f"node {node} {name}: over capacity "
                     f"({level.used_bytes()} > {level.capacity_bytes})"
+                )
+        # The disk level is inclusive: a page held on both levels must
+        # hold the same bytes and dirty bit on each.
+        on_disk = set(disk.addresses())
+        for address in memory.addresses():
+            if address not in on_disk:
+                continue
+            ram, copy = _level_page(memory, address), _level_page(disk, address)
+            if ram is None or copy is None:
+                continue
+            if bytes(ram.data) != bytes(copy.data) or ram.dirty != copy.dirty:
+                report.error(
+                    f"node {node} page {address:#x}: memory and disk "
+                    f"copies differ"
                 )

@@ -290,6 +290,7 @@ def storage_report(cluster) -> List[Dict[str, Any]]:
                 "disk_capacity": s.disk.capacity_bytes,
                 "ram_hit_rate": s.stats.ram_hit_rate(),
                 "victimized": s.stats.victimized_to_disk,
+                "disk_writes": s.stats.disk_writes,
                 "dirty_pages": len(s.dirty_addresses()),
             }
         )

@@ -4,7 +4,7 @@ failure detection, replica maintenance, home failover."""
 import pytest
 
 from repro.api import create_cluster
-from repro.core.attributes import RegionAttributes
+from repro.core.attributes import ConsistencyLevel, RegionAttributes
 from repro.core.errors import KhazanaError
 from repro.failure.detector import FailureDetector
 from repro.failure.retry import RetryQueue
@@ -12,6 +12,7 @@ from repro.net.clock import EventScheduler
 from repro.net.sim import SimNetwork
 from repro.net.rpc import RpcEndpoint
 from repro.net.tasks import TaskRunner
+from repro.storage.store import StoredPage
 
 
 class TestRetryQueue:
@@ -135,6 +136,33 @@ class TestCrashRecovery:
         # Writing still works; the dead sharer is just dropped.
         kz1.write_at(desc.rid, b"after")
         assert cluster.client(node=2).read_at(desc.rid, 5) == b"after"
+
+    @pytest.mark.parametrize("level", [ConsistencyLevel.STRICT,
+                                       ConsistencyLevel.RELEASE])
+    @pytest.mark.parametrize("in_ram", [False, True])
+    def test_recovered_sharer_does_not_serve_a_stale_copy(self, level,
+                                                          in_ram):
+        """The homes scrub a crashed node from their copysets, so a
+        cached copy that survives on its disk would never hear of a
+        later write: the crash must forget it."""
+        cluster = create_cluster(num_nodes=4)
+        kz1 = cluster.client(node=1)
+        desc = kz1.reserve(4096, RegionAttributes(consistency_level=level))
+        kz1.allocate(desc.rid)
+        kz1.write_at(desc.rid, b"v0")
+        kz2 = cluster.client(node=2)
+        assert kz2.read_at(desc.rid, 2) == b"v0"
+        storage = cluster.daemon(2).storage
+        cached = storage.memory.peek(desc.rid)
+        storage.disk.put(StoredPage(desc.rid, cached.data, cached.dirty))
+        if not in_ram:
+            storage.memory.remove(desc.rid)
+        cluster.crash(2)
+        cluster.run(15.0)   # detector declares node 2 dead
+        cluster.client(node=3).write_at(desc.rid, b"v1")
+        cluster.recover(2)
+        cluster.run(15.0)
+        assert kz2.read_at(desc.rid, 2) == b"v1"
 
     def test_replicated_region_survives_primary_crash(self):
         cluster = create_cluster(num_nodes=6)

@@ -1,10 +1,13 @@
 """Tests for the local storage hierarchy (paper Section 3.4)."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.errors import StorageExhausted
 from repro.storage.disk import DiskStore, FileBackedDiskStore, access_cost
-from repro.storage.hierarchy import StorageHierarchy
+from repro.storage.hierarchy import CLUSTER_PAGES, StorageHierarchy
 from repro.storage.memory import MemoryStore
 from repro.storage.store import StoredPage
 
@@ -152,15 +155,19 @@ class TestFileBackedDiskStore:
         assert FileBackedDiskStore(d, 16 * PAGE).addresses() == []
 
 
+def hierarchy(mem_pages=2, disk_pages=4, pins=(), on_evict=None, disk=None):
+    """``pins`` is consulted live, so a test may pin and unpin pages."""
+    return StorageHierarchy(
+        memory=MemoryStore(mem_pages * PAGE),
+        disk=disk if disk is not None else DiskStore(disk_pages * PAGE),
+        is_pinned=lambda a: a in pins,
+        on_disk_evict=on_evict or (lambda p: True),
+    )
+
+
 class TestHierarchy:
     def make(self, mem_pages=2, disk_pages=4, pinned=(), on_evict=None):
-        pinned_set = set(pinned)
-        return StorageHierarchy(
-            memory=MemoryStore(mem_pages * PAGE),
-            disk=DiskStore(disk_pages * PAGE),
-            is_pinned=lambda a: a in pinned_set,
-            on_disk_evict=on_evict or (lambda p: True),
-        )
+        return hierarchy(mem_pages, disk_pages, set(pinned), on_evict)
 
     def test_ram_hit_is_free(self):
         h = self.make()
@@ -261,3 +268,224 @@ class TestHierarchy:
         h.load(0xBAD000)
         assert h.stats.hit_rate() == 0.5
         assert h.stats.ram_hit_rate() == 0.5
+
+
+class TestInclusiveDisk:
+    """The disk level keeps current copies of RAM pages: victimizing a
+    page whose copy is current is free, and a page without one is
+    written back in one access with the next LRU pages lacking a copy."""
+
+    def test_victimizing_a_page_with_a_current_disk_copy_is_free(self):
+        h = hierarchy(mem_pages=2, disk_pages=8)
+        h.store(page(0, b"a"))
+        h.store(page(PAGE, b"b"))
+        # Victim 0 goes down with PAGE in one access; PAGE stays in RAM.
+        assert h.store(page(2 * PAGE)) == access_cost(2 * PAGE)
+        assert h.memory.contains(PAGE) and h.disk.contains(PAGE)
+        assert h.store(page(3 * PAGE)) == 0.0   # victim PAGE: copy current
+        assert not h.memory.contains(PAGE)
+        assert h.disk.get(PAGE).data == b"b" * PAGE
+        # A promoted page keeps its disk copy, so it leaves RAM free too.
+        h.load(0)                 # victim 2*PAGE, written with 3*PAGE
+        assert h.store(page(4 * PAGE)) == 0.0   # victim 3*PAGE
+        assert h.store(page(5 * PAGE)) == 0.0   # victim 0
+        assert h.stats.victimized_to_disk == 5
+        assert h.stats.disk_writes == 2
+
+    def test_one_cluster_write_costs_one_access(self):
+        k = CLUSTER_PAGES
+        h = hierarchy(mem_pages=k + 1, disk_pages=4 * k)
+        for i in range(k + 1):
+            h.store(page(i * PAGE))
+        assert h.store(page((k + 1) * PAGE)) == access_cost(k * PAGE)
+        assert h.stats.disk_writes == 1
+        assert h.stats.victimized_to_disk == 1
+        assert sorted(h.disk.addresses()) == [i * PAGE for i in range(k)]
+        assert not h.memory.contains(0)
+        assert all(h.memory.contains(i * PAGE) for i in range(1, k + 2))
+
+    def test_cluster_skips_pinned_and_excluded_pages(self):
+        h = hierarchy(mem_pages=4, disk_pages=8, pins={PAGE})
+        for i in range(4):
+            h.store(page(i * PAGE))
+        # Re-storing 2*PAGE excludes it; PAGE is pinned.
+        assert h.store(page(2 * PAGE, b"n")) == access_cost(2 * PAGE)
+        assert sorted(h.disk.addresses()) == [0, 3 * PAGE]
+
+    def test_store_after_a_preclean_replaces_the_stale_copy(self):
+        h = hierarchy(mem_pages=2, disk_pages=8)
+        h.store(page(0))
+        h.store(page(PAGE, b"a"))
+        h.store(page(2 * PAGE))          # PAGE pre-cleaned with 0
+        assert h.disk.get(PAGE).data == b"a" * PAGE
+        h.store(page(PAGE, b"b", dirty=True))
+        assert not h.disk.contains(PAGE)
+        assert h.store_resident(page(2 * PAGE, b"c")) is True
+        assert not h.disk.contains(2 * PAGE)
+        h.store(page(3 * PAGE))
+        h.store(page(4 * PAGE))          # PAGE written back afresh
+        got, _ = h.load(PAGE)
+        assert got.data == b"b" * PAGE and got.dirty
+
+    def test_cache_copies_are_dropped_before_any_true_eviction(self):
+        evicted, pins = [], set()
+        h = hierarchy(mem_pages=2, disk_pages=2, pins=pins,
+                      on_evict=lambda p: (evicted.append(p.address), True)[1])
+        h.store(page(0))
+        h.store(page(PAGE))
+        h.store(page(2 * PAGE))   # disk: 0 and a cache copy of PAGE
+        pins.add(PAGE)
+        h.store(page(3 * PAGE))   # victim 2*PAGE; PAGE's copy makes room
+        assert evicted == []
+        assert h.stats.evicted_from_disk == 0
+        assert sorted(h.disk.addresses()) == [0, 2 * PAGE]
+        assert h.memory.contains(PAGE)
+        pins.clear()
+        h.store(page(4 * PAGE))   # victim PAGE: no copy left, evict 0
+        assert evicted == [0]
+
+    def test_write_through_copies_are_never_dropped(self):
+        evicted = []
+        h = hierarchy(mem_pages=2, disk_pages=2, pins={0},
+                      on_evict=lambda p: (evicted.append(p.address), True)[1])
+        h.write_through(page(0, b"m"))
+        h.store(page(PAGE))
+        h.store(page(2 * PAGE))   # victim PAGE
+        h.store(page(3 * PAGE))   # victim 2*PAGE: disk full
+        assert h.disk.get(0).data == b"m" * PAGE
+        assert evicted == [PAGE]
+
+    def test_eviction_tries_the_next_candidate_after_a_veto(self):
+        evicted = []
+
+        def hook(p):
+            if p.address == 0:
+                return False
+            evicted.append(p.address)
+            return True
+
+        h = hierarchy(mem_pages=1, disk_pages=2, on_evict=hook)
+        h.store(page(0))
+        h.store(page(PAGE))
+        h.store(page(2 * PAGE))   # disk: 0 and PAGE
+        h.store(page(3 * PAGE))   # 0 vetoes; PAGE may go
+        assert evicted == [PAGE]
+        assert sorted(h.disk.addresses()) == [0, 2 * PAGE]
+
+    def test_victimizing_a_write_through_page_charges_no_rewrite(self):
+        h = hierarchy(mem_pages=1, disk_pages=4)
+        h.write_through(page(0, b"w"))
+        assert h.store(page(PAGE)) == 0.0
+        assert h.stats.disk_writes == 1   # the write-through itself
+
+    def test_write_through_survives_victimize_reload_and_reopen(self, tmp_path):
+        d = str(tmp_path / "spill")
+        h = hierarchy(mem_pages=1, disk_pages=0,
+                      disk=FileBackedDiskStore(d, 8 * PAGE))
+        h.write_through(page(0, b"w"))
+        h.store(page(PAGE))       # forces page 0 out of RAM
+        got, _ = h.load(0)        # and back in
+        assert got.data == b"w" * PAGE
+        revived = FileBackedDiskStore(d, 8 * PAGE)
+        assert revived.get(0).data == b"w" * PAGE
+
+
+SMALL = 64   # page bytes in the model test: only sizes matter
+
+
+class HierarchyModel(RuleBasedStateMachine):
+    """StorageHierarchy against a dict of address -> (bytes, dirty).
+
+    Three RAM pages, six disk pages, ten addresses, at most one pinned
+    page and one page (0) whose eviction is always vetoed: room can
+    always be made, so no operation may raise.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.model = {}
+        self.persistent = set()
+        self.pins = set()
+        self.bad_evictions = []
+        self.h = StorageHierarchy(
+            memory=MemoryStore(3 * SMALL),
+            disk=DiskStore(6 * SMALL),
+            is_pinned=lambda a: a in self.pins,
+            on_disk_evict=self.evict,
+        )
+
+    def evict(self, p):
+        if self.h.memory.contains(p.address):
+            self.bad_evictions.append(p.address)
+        if (bytes(p.data), p.dirty) != self.model.get(p.address):
+            self.bad_evictions.append(p.address)
+        if p.address == 0:
+            return False
+        del self.model[p.address]
+        self.persistent.discard(p.address)
+        return True
+
+    addresses = st.integers(0, 9).map(lambda i: i * SMALL)
+    fills = st.sampled_from(b"abc")
+
+    @rule(address=addresses, fill=fills, dirty=st.booleans(),
+          how=st.sampled_from(["store", "resident", "through"]))
+    def write(self, address, fill, dirty, how):
+        p = StoredPage(address, bytes([fill]) * SMALL, dirty=dirty)
+        if how == "resident":
+            if not self.h.store_resident(p):
+                return
+        elif how == "through":
+            self.h.write_through(p)
+        else:
+            self.h.store(p)
+        self.model[address] = (bytes(p.data), dirty)
+        if how == "through":
+            self.persistent.add(address)
+        else:
+            self.persistent.discard(address)
+
+    @rule(address=addresses)
+    def load(self, address):
+        got, _cost = self.h.load(address)
+        if address not in self.model:
+            assert got is None
+        else:
+            assert (bytes(got.data), got.dirty) == self.model[address]
+
+    @rule(address=addresses)
+    def drop(self, address):
+        self.h.drop(address)
+        self.model.pop(address, None)
+        self.persistent.discard(address)
+
+    @rule(address=addresses)
+    def mark_clean(self, address):
+        self.h.mark_clean(address)
+        if address in self.model:
+            self.model[address] = (self.model[address][0], False)
+
+    @rule(address=st.one_of(st.none(), addresses))
+    def pin(self, address):
+        self.pins = set() if address is None else {address}
+
+    @invariant()
+    def agrees_with_the_model(self):
+        h = self.h
+        assert self.bad_evictions == []
+        assert h.resident_addresses() == sorted(self.model)
+        for level in (h.memory, h.disk):
+            pages = [level.get(a) for a in level.addresses()]
+            assert level.used_bytes() == sum(p.size for p in pages)
+            assert level.used_bytes() <= level.capacity_bytes
+        for address, (data, dirty) in self.model.items():
+            for p in (h.memory.peek(address), h.disk.get(address)):
+                if p is not None:   # both levels hold the latest bytes
+                    assert (bytes(p.data), p.dirty) == (data, dirty)
+        assert self.persistent <= set(h.disk.addresses())
+
+
+TestHierarchyModel = HierarchyModel.TestCase
+TestHierarchyModel.settings = settings(max_examples=60,
+                                       stateful_step_count=40,
+                                       deadline=None)

@@ -84,6 +84,18 @@ class TestFsck:
         assert not report.ok
         assert any("used_bytes" in e for e in report.errors)
 
+    def test_detects_memory_and_disk_copies_that_differ(self):
+        cluster, descs = exercised_cluster()
+        storage = cluster.daemon(1).storage
+        page = storage.memory.peek(descs[0].rid)
+        storage.disk.put(StoredPage(page.address, page.data, page.dirty))
+        assert check_cluster(cluster).ok   # a current copy is fine
+        stale = bytes([page.data[0] ^ 0xFF]) + bytes(page.data[1:])
+        storage.disk.put(StoredPage(page.address, stale, page.dirty))
+        report = check_cluster(cluster)
+        assert not report.ok
+        assert any("copies differ" in e for e in report.errors)
+
     @pytest.mark.parametrize("corruption, finding", [
         ("shrink_subtree_range", "SUBTREE entry says"),
         ("inline_first_child", "unequal depths"),
@@ -201,6 +213,7 @@ class TestInspect:
         node1 = next(r for r in rows if r["node"] == 1)
         assert node1["ram_used"] > 0
         assert node1["ram_used"] <= node1["ram_capacity"]
+        assert node1["disk_writes"] == cluster.daemon(1).storage.stats.disk_writes
 
     def test_engine_report(self):
         cluster, _ = exercised_cluster()
